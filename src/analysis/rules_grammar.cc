@@ -166,7 +166,9 @@ class DeterminismRule final : public LintRule {
       XIC_RETURN_IF_ERROR(CheckLimit(
           nfa.num_positions(), input.limits.max_automaton_states,
           "max_automaton_states",
-          "content model of " + tau + " has too many positions"));
+          [&] {
+            return "content model of " + tau + " has too many positions";
+          }));
       std::optional<AmbiguityWitness> w = nfa.OneUnambiguityWitness();
       if (!w.has_value()) continue;
       std::string reason =

@@ -18,7 +18,6 @@
 #include "util/symbol_table.h"
 #include "xml/dtd_parser.h"
 #include "xml/dtdc_io.h"
-#include "xml/xml_parser.h"
 
 namespace xic {
 
@@ -132,6 +131,10 @@ class StreamRun {
     const TypePlan* tplan = nullptr;
     bool has_id_attr = false;  // dtd.IdAttribute(label), for kId tables
     std::string id_attr;
+    // Attributes the tokenizing DTD declares set-valued on this label,
+    // sorted. Their values split into whitespace-separated token sets;
+    // every other value is one token (TokenizeAttrValue semantics).
+    std::vector<std::string> set_valued;
   };
 
   // One field of one open vertex. The three states mirror the checker's
@@ -140,11 +143,16 @@ class StreamRun {
   // back to the unique matching sub-element's text.
   struct FieldState {
     enum Kind { kUnset, kAttr, kCapture } kind = kUnset;
-    AttrValue attr;     // kAttr
-    int captures = 0;   // kCapture: matching direct children seen
-    std::string text;   // kCapture: text content of the first match
+    int captures = 0;  // kCapture: matching direct children seen
+    // kAttr: the value's tokens (ascending, distinct), concatenated;
+    // kCapture: text content of the first match.
+    std::string text;
+    std::vector<size_t> token_ends;  // kAttr: end of each token in text
   };
 
+  // One open element. Frames are slots reused by depth: a slot keeps the
+  // capacity of its word and field buffers for the next element opened
+  // at that depth, so opening an element allocates nothing.
   struct Frame {
     uint32_t seq = 0;  // pre-order id == the DOM parser's vertex id
     Symbol label = kInvalidSymbol;
@@ -152,7 +160,9 @@ class StreamRun {
     bool track_word = false;  // automaton run + word buffer live
     GlushkovAutomaton::RunState run;
     std::vector<Symbol> word;  // kInvalidSymbol marks a text child
-    std::vector<FieldState> fields;  // parallel to tplan->fields
+    // The first tplan->fields.size() entries are this element's fields;
+    // any beyond are spare capacity left by earlier occupants.
+    std::vector<FieldState> fields;
   };
 
   // An active sub-element text capture: while the open-element stack is
@@ -164,9 +174,12 @@ class StreamRun {
     size_t depth;
   };
 
-  struct AttrEntry {
-    std::string name;
-    AttrValue value;
+  // One attribute of the start tag being handled: views into the
+  // tokenizer's event, valid until the next event is pulled.
+  struct AttrRef {
+    std::string_view name;
+    std::string_view value;  // raw: not yet split into tokens
+    bool set_valued = false;
   };
 
   // A structural violation with its DOM emission rank: the DOM validator
@@ -203,6 +216,7 @@ class StreamRun {
   void OnStart(const StreamEvent& ev);
   void OnEnd();
   void OnText(const StreamEvent& ev);
+  Frame& Top() { return frames_[depth_ - 1]; }
   void CloseRun() {
     run_open_ = false;
     run_qualified_ = false;
@@ -216,7 +230,9 @@ class StreamRun {
 
   LabelInfo& Prepare(Symbol label, std::string_view name);
   int AlphaOf(LabelInfo& info, Symbol s);
-  AttrEntry* FindAttrEntry(std::string_view name);
+  const AttrRef* FindAttr(std::string_view name) const;
+  /// Splits `a`'s value into tokens_ (views, ascending, distinct).
+  void Tokenize(const AttrRef& a);
 
   std::optional<std::string_view> SingleOf(const FieldState& fs);
   bool SetOf(const FieldState& fs, std::vector<std::string_view>* out);
@@ -246,7 +262,8 @@ class StreamRun {
 
   SymbolTable syms_;
   std::deque<LabelInfo> labels_;  // by Symbol; deque: stable references
-  std::vector<Frame> frames_;
+  std::vector<Frame> frames_;     // slots; [0, depth_) are open
+  size_t depth_ = 0;
   std::vector<Capture> captures_;
   std::vector<SViol> sviols_;
   uint32_t next_seq_ = 0;
@@ -255,7 +272,8 @@ class StreamRun {
   bool run_qualified_ = false;  // ...and has produced a text child
   std::string run_prefix_;      // all-space chunks pending qualification
 
-  std::vector<AttrEntry> attr_scratch_;
+  std::vector<AttrRef> attrs_;  // the current start tag's, by name
+  std::vector<std::string_view> tokens_;
   std::vector<std::string_view> view_scratch_;
   std::string encode_buf_;
 
@@ -283,6 +301,11 @@ StreamRun::LabelInfo& StreamRun::Prepare(Symbol label, std::string_view name) {
       info.id_attr = std::move(*id);
     }
   }
+  for (std::string& attr : tok_dtd_.Attributes(std::string(name))) {
+    if (tok_dtd_.IsSetValued(name, attr)) {
+      info.set_valued.push_back(std::move(attr));
+    }
+  }
   return info;
 }
 
@@ -293,16 +316,28 @@ int StreamRun::AlphaOf(LabelInfo& info, Symbol s) {
   return a;
 }
 
-StreamRun::AttrEntry* StreamRun::FindAttrEntry(std::string_view name) {
+const StreamRun::AttrRef* StreamRun::FindAttr(std::string_view name) const {
   auto it = std::lower_bound(
-      attr_scratch_.begin(), attr_scratch_.end(), name,
-      [](const AttrEntry& e, std::string_view n) { return e.name < n; });
-  if (it == attr_scratch_.end() || it->name != name) return nullptr;
+      attrs_.begin(), attrs_.end(), name,
+      [](const AttrRef& a, std::string_view n) { return a.name < n; });
+  if (it == attrs_.end() || it->name != name) return nullptr;
   return &*it;
 }
 
+void StreamRun::Tokenize(const AttrRef& a) {
+  tokens_.clear();
+  if (!a.set_valued) {
+    tokens_.push_back(a.value);
+    return;
+  }
+  ForEachXmlSpaceToken(a.value,
+                       [&](std::string_view t) { tokens_.push_back(t); });
+  std::sort(tokens_.begin(), tokens_.end());
+  tokens_.erase(std::unique(tokens_.begin(), tokens_.end()), tokens_.end());
+}
+
 void StreamRun::OnText(const StreamEvent& ev) {
-  if (frames_.empty()) return;
+  if (depth_ == 0) return;
   if (!run_open_) {
     run_open_ = true;
     run_qualified_ = false;
@@ -317,7 +352,7 @@ void StreamRun::OnText(const StreamEvent& ev) {
     }
     run_qualified_ = true;
     // The whole run is exactly one text child of the open element.
-    Frame& top = frames_.back();
+    Frame& top = Top();
     if (top.track_word) {
       top.word.push_back(kInvalidSymbol);
       top.info->plan->automaton->Step(&top.run, top.info->text_alpha);
@@ -336,8 +371,8 @@ void StreamRun::OnStart(const StreamEvent& ev) {
 
   // Parent bookkeeping: the child steps the parent's content-model run,
   // and may be the unique sub-element some parent field captures.
-  if (!frames_.empty()) {
-    Frame& parent = frames_.back();
+  if (depth_ > 0) {
+    Frame& parent = Top();
     if (parent.track_word) {
       parent.word.push_back(label);
       parent.info->plan->automaton->Step(&parent.run,
@@ -349,8 +384,7 @@ void StreamRun::OnStart(const StreamEvent& ev) {
         FieldState& fs = parent.fields[i];
         if (fs.kind == FieldState::kCapture && names[i] == ev.name) {
           if (++fs.captures == 1) {
-            captures_.push_back(
-                Capture{frames_.size() - 1, i, frames_.size() + 1});
+            captures_.push_back(Capture{depth_ - 1, i, depth_ + 1});
           }
         }
       }
@@ -360,20 +394,19 @@ void StreamRun::OnStart(const StreamEvent& ev) {
   const uint32_t seq = next_seq_++;
   LabelInfo& info = Prepare(label, ev.name);
 
-  // Attribute values, tokenized against the document's own DTD (set-
-  // valued attributes split on XML whitespace) and sorted by name, the
-  // order the DOM tree stores and the validator visits them in.
-  attr_scratch_.clear();
+  // Attributes sorted by name, the order the DOM tree stores and the
+  // validator visits them in. Values stay raw views; they are split into
+  // tokens (against the document's own DTD: set-valued attributes split
+  // on XML whitespace) only where a check or a field reads them.
+  attrs_.clear();
   for (const StreamEvent::Attr& a : ev.attrs) {
-    attr_scratch_.push_back(
-        AttrEntry{std::string(a.name),
-                  TokenizeAttrValue(a.value,
-                                    tok_dtd_.IsSetValued(ev.name, a.name))});
+    attrs_.push_back(AttrRef{
+        a.name, a.value,
+        std::binary_search(info.set_valued.begin(), info.set_valued.end(),
+                           a.name)});
   }
-  std::sort(attr_scratch_.begin(), attr_scratch_.end(),
-            [](const AttrEntry& a, const AttrEntry& b) {
-              return a.name < b.name;
-            });
+  std::sort(attrs_.begin(), attrs_.end(),
+            [](const AttrRef& a, const AttrRef& b) { return a.name < b.name; });
 
   // Structural checks at the start tag (the content model waits for the
   // end tag; Rank() restores the DOM emission order).
@@ -389,27 +422,32 @@ void StreamRun::OnStart(const StreamEvent& ev) {
       const std::vector<std::string>& names = *info.plan->attr_names;
       const std::vector<bool>& single = *info.plan->attr_single;
       size_t declared_present = 0;
-      for (size_t idx = 0; idx < attr_scratch_.size(); ++idx) {
-        const AttrEntry& e = attr_scratch_[idx];
-        auto it = std::lower_bound(names.begin(), names.end(), e.name);
-        if (it == names.end() || *it != e.name) {
+      for (size_t idx = 0; idx < attrs_.size(); ++idx) {
+        const AttrRef& a = attrs_[idx];
+        auto it = std::lower_bound(names.begin(), names.end(), a.name);
+        if (it == names.end() || *it != a.name) {
           AddSViol(seq, Rank(3, idx), "undeclared attribute " +
-                                          std::string(ev.name) + "." + e.name);
+                                          std::string(ev.name) + "." +
+                                          std::string(a.name));
           continue;
         }
         ++declared_present;
         const size_t slot = static_cast<size_t>(it - names.begin());
-        if (single[slot] && e.value.size() != 1) {
+        // A value that is not split is one token, so only set-valued
+        // tokenization can break a single-valued declaration.
+        if (!single[slot] || !a.set_valued) continue;
+        Tokenize(a);
+        if (tokens_.size() != 1) {
           AddSViol(seq, Rank(3, idx),
                    "single-valued attribute " + std::string(ev.name) + "." +
-                       e.name + " holds " + std::to_string(e.value.size()) +
-                       " values");
+                       std::string(a.name) + " holds " +
+                       std::to_string(tokens_.size()) + " values");
         }
       }
       if (!sv_.options_.validation.allow_missing_attributes &&
           declared_present != names.size()) {
         for (size_t j = 0; j < names.size(); ++j) {
-          if (FindAttrEntry(names[j]) == nullptr) {
+          if (FindAttr(names[j]) == nullptr) {
             AddSViol(seq, Rank(4, j), "missing declared attribute " +
                                           std::string(ev.name) + "." +
                                           names[j]);
@@ -419,36 +457,49 @@ void StreamRun::OnStart(const StreamEvent& ev) {
     }
   }
 
-  // Global ID table entry (read before fields may move the value out).
+  // Global ID table entry.
   if (global_ids_ != nullptr && info.has_id_attr && !spill_failed_) {
-    const AttrEntry* e = FindAttrEntry(info.id_attr);
-    if (e != nullptr && e->value.size() == 1) {
-      ++field_steps_;
-      Status s = global_ids_->Append(seq, 0, *e->value.begin());
-      if (!s.ok()) {
-        spill_failed_ = true;
-        spill_error_ = std::move(s);
+    if (const AttrRef* a = FindAttr(info.id_attr)) {
+      Tokenize(*a);
+      if (tokens_.size() == 1) {
+        ++field_steps_;
+        Status s = global_ids_->Append(seq, 0, tokens_[0]);
+        if (!s.ok()) {
+          spill_failed_ = true;
+          spill_error_ = std::move(s);
+        }
       }
     }
   }
 
-  Frame frame;
+  if (depth_ == frames_.size()) frames_.emplace_back();
+  Frame& frame = frames_[depth_++];
   frame.seq = seq;
   frame.label = label;
   frame.info = &info;
-  if (compile_ok_ && info.plan.has_value() &&
-      info.plan->automaton != nullptr) {
-    frame.track_word = true;
-    frame.run = info.plan->automaton->StartRun();
-  }
+  frame.track_word = compile_ok_ && info.plan.has_value() &&
+                     info.plan->automaton != nullptr;
+  frame.word.clear();
+  if (frame.track_word) frame.run = info.plan->automaton->StartRun();
   if (info.tplan != nullptr) {
     const TypePlan& tp = *info.tplan;
-    frame.fields.resize(tp.fields.size());
+    if (frame.fields.size() < tp.fields.size()) {
+      frame.fields.resize(tp.fields.size());
+    }
     for (size_t i = 0; i < tp.fields.size(); ++i) {
       FieldState& fs = frame.fields[i];
-      if (AttrEntry* e = FindAttrEntry(tp.fields[i])) {
+      fs.captures = 0;
+      fs.text.clear();
+      fs.token_ends.clear();
+      if (const AttrRef* a = FindAttr(tp.fields[i])) {
+        // The value is copied out of the event: it must outlive the
+        // start tag, until the roles are emitted at the end tag.
         fs.kind = FieldState::kAttr;
-        fs.attr = std::move(e->value);
+        Tokenize(*a);
+        for (std::string_view t : tokens_) {
+          fs.text.append(t);
+          fs.token_ends.push_back(fs.text.size());
+        }
       } else if (tp.field_declared[i]) {
         fs.kind = FieldState::kUnset;
       } else {
@@ -456,13 +507,13 @@ void StreamRun::OnStart(const StreamEvent& ev) {
       }
     }
   }
-  frames_.push_back(std::move(frame));
 }
 
 void StreamRun::OnEnd() {
   CloseRun();
-  Frame frame = std::move(frames_.back());
-  frames_.pop_back();
+  // The slot stays in frames_ (with its buffers) for the next element
+  // opened at this depth; `frame` is valid until then.
+  const Frame& frame = frames_[--depth_];
   if (frame.track_word && !frame.info->plan->automaton->Accepts(frame.run)) {
     std::vector<std::string> rendered;
     rendered.reserve(frame.word.size());
@@ -475,7 +526,7 @@ void StreamRun::OnEnd() {
                  "] do not match content model of " + syms_.name(frame.label));
   }
   if (frame.info->tplan != nullptr) EmitRoles(frame);
-  while (!captures_.empty() && captures_.back().depth > frames_.size()) {
+  while (!captures_.empty() && captures_.back().depth > depth_) {
     captures_.pop_back();
   }
 }
@@ -484,8 +535,8 @@ std::optional<std::string_view> StreamRun::SingleOf(const FieldState& fs) {
   ++field_steps_;
   switch (fs.kind) {
     case FieldState::kAttr:
-      if (fs.attr.size() != 1) return std::nullopt;
-      return std::string_view(*fs.attr.begin());
+      if (fs.token_ends.size() != 1) return std::nullopt;
+      return std::string_view(fs.text);
     case FieldState::kUnset:
       return std::nullopt;
     case FieldState::kCapture:
@@ -499,9 +550,14 @@ bool StreamRun::SetOf(const FieldState& fs,
                       std::vector<std::string_view>* out) {
   out->clear();
   switch (fs.kind) {
-    case FieldState::kAttr:
-      for (const std::string& v : fs.attr) out->push_back(v);
+    case FieldState::kAttr: {
+      size_t begin = 0;
+      for (size_t end : fs.token_ends) {
+        out->push_back(std::string_view(fs.text).substr(begin, end - begin));
+        begin = end;
+      }
       return true;
+    }
     case FieldState::kUnset:
       return false;
     case FieldState::kCapture:

@@ -27,6 +27,20 @@
 //     whose *inverse-constrained* extents exceed memory are out of
 //     scope, as DESIGN.md records.)
 //
+// Allocation discipline: per label or per run, never per element. What
+// a label needs (its automaton plan, constraint roles, ID attribute and
+// the tokenizing DTD's set-valued attributes) is resolved the first time
+// the label is seen. Attributes are handled as views into the tokenizer's
+// event and split into tokens, in a reused vector, only where a
+// constraint field or the single-valued check reads them. Open elements
+// live in frame slots reused by depth: a slot keeps its child word and
+// field buffers for the next element opened at that depth, so a slot's
+// retained capacity is that of the largest element seen at its depth,
+// and peak memory stays O(open-element depth) as before. Per-element
+// heap traffic is left only where the output itself grows: extent logs
+// (amortized doubling), violations, and the in-memory inverse extents.
+// tests/stream_alloc_test.cc pins the constant allocation count.
+//
 // Verdict parity: vertex ids equal the DOM parser's pre-order AddVertex
 // ids, violations are re-ordered to the DOM checkers' emission order,
 // and messages reuse the same rendering, so ValidationReport::ToString()

@@ -27,7 +27,7 @@ StructuralValidator::StructuralValidator(const DtdStructure& dtd,
         status_ = CheckLimit(automaton.num_positions(),
                              options_.limits.max_automaton_states,
                              "max_automaton_states",
-                             "content model of " + element);
+                             [&] { return "content model of " + element; });
       }
       automata_.emplace(element, std::move(automaton));
     }

@@ -14,11 +14,10 @@ ResourceLimits ResourceLimits::Unlimited() {
   return limits;
 }
 
-Status CheckLimit(size_t value, size_t limit, const char* limit_name,
-                  std::string what) {
-  if (limit == 0 || value <= limit) return Status::OK();
+Status LimitExceededStatus(size_t value, size_t limit, const char* limit_name,
+                           std::string_view what) {
   return Status::LimitExceeded(
-      limit_name, std::move(what) + " (" + std::to_string(value) +
+      limit_name, std::string(what) + " (" + std::to_string(value) +
                       " exceeds limit " + std::to_string(limit) + ")");
 }
 

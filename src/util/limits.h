@@ -27,6 +27,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "util/status.h"
 
@@ -58,10 +60,28 @@ struct ResourceLimits {
   static ResourceLimits Unlimited();
 };
 
+/// The kResourceExhausted status CheckLimit returns for an exceeded
+/// limit: "<what> (<value> exceeds limit <limit>)", limit() `limit_name`.
+Status LimitExceededStatus(size_t value, size_t limit, const char* limit_name,
+                           std::string_view what);
+
 /// Returns OK when `value` <= `limit` (or the limit is 0), otherwise a
-/// kResourceExhausted status whose limit() is `limit_name`.
+/// kResourceExhausted status whose limit() is `limit_name`. Callers poll
+/// limits per element, so the passing path allocates nothing: `what` is
+/// either a view of fixed text or a callable returning the text, which
+/// runs only when the limit is exceeded.
+inline Status CheckLimit(size_t value, size_t limit, const char* limit_name,
+                         std::string_view what) {
+  if (limit == 0 || value <= limit) return Status::OK();
+  return LimitExceededStatus(value, limit, limit_name, what);
+}
+template <typename WhatFn>
+  requires std::is_invocable_r_v<std::string, WhatFn&>
 Status CheckLimit(size_t value, size_t limit, const char* limit_name,
-                  std::string what);
+                  WhatFn&& what) {
+  if (limit == 0 || value <= limit) return Status::OK();
+  return LimitExceededStatus(value, limit, limit_name, what());
+}
 
 /// A cooperative cancellation flag, shareable across threads. The token
 /// must outlive every Deadline observing it.

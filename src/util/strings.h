@@ -30,6 +30,20 @@ constexpr bool IsXmlSpace(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r';
 }
 
+/// Calls `f(token)` for each maximal run of non-XML-S characters in
+/// `text`, in order: the whitespace-separated tokens of a set-valued
+/// (IDREFS-style) attribute value. Tokens are views into `text`.
+template <typename F>
+void ForEachXmlSpaceToken(std::string_view text, F&& f) {
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && IsXmlSpace(text[i])) ++i;
+    size_t start = i;
+    while (i < text.size() && !IsXmlSpace(text[i])) ++i;
+    if (i > start) f(text.substr(start, i - start));
+  }
+}
+
 /// True for XML NameStartChar restricted to the ASCII subset we support
 /// (letters, '_', ':').
 bool IsNameStartChar(char c);

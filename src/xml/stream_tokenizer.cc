@@ -72,7 +72,16 @@ StreamTokenizer::StreamTokenizer(ByteSource& source,
                                  StreamTokenizerOptions options)
     : source_(source), options_(std::move(options)) {
   if (options_.chunk_bytes < 256) options_.chunk_bytes = 256;
-  buf_.resize(options_.chunk_bytes * 2);
+  // The first window holds two chunks, or the whole input plus slack when
+  // that is smaller: a small document then costs a small buffer, and the
+  // read that finds EOF still has room, so it never doubles the window.
+  size_t window = options_.chunk_bytes * 2;
+  if (std::optional<uint64_t> total = source_.size()) {
+    constexpr uint64_t kWindowSlack = 64;
+    window = static_cast<size_t>(
+        std::min<uint64_t>(window, *total + kWindowSlack));
+  }
+  buf_.resize(window);
 }
 
 Status StreamTokenizer::Fill() {
@@ -140,14 +149,14 @@ StreamTokenizer::Mark StreamTokenizer::Here() const {
 }
 
 Status StreamTokenizer::ErrorAt(const Mark& mark,
-                                const std::string& what) const {
+                                std::string_view what) const {
   uint64_t col = mark.abs - mark.line_start + 1;
-  return Status::ParseError("XML: " + what + " at line " +
+  return Status::ParseError("XML: " + std::string(what) + " at line " +
                             std::to_string(mark.line) + ", column " +
                             std::to_string(col));
 }
 
-Status StreamTokenizer::Error(const std::string& what) const {
+Status StreamTokenizer::Error(std::string_view what) const {
   return ErrorAt(Here(), what);
 }
 
@@ -198,7 +207,7 @@ Status StreamTokenizer::SkipMisc() {
 }
 
 Status StreamTokenizer::SkipUntil(std::string_view terminator,
-                                  const std::string& what, const Mark& mark) {
+                                  std::string_view what, const Mark& mark) {
   while (true) {
     if (available() >= terminator.size()) {
       std::string_view hay(buf_.data() + start_, available());
@@ -323,11 +332,10 @@ Status StreamTokenizer::Next(StreamEvent* event) {
   event->has_internal_subset = false;
   if (pending_end_) {
     pending_end_ = false;
-    last_name_ = std::move(stack_.back());
-    stack_.pop_back();
+    PopOpen();
     event->kind = StreamEventKind::kEndElement;
     event->name = last_name_;
-    if (stack_.empty()) state_ = State::kEpilog;
+    if (open_starts_.empty()) state_ = State::kEpilog;
     return Status::OK();
   }
   if (!started_) {
@@ -538,7 +546,7 @@ Status StreamTokenizer::FinishDoctypeClose() {
 }
 
 Status StreamTokenizer::NextContent(StreamEvent* event) {
-  if (stack_.empty()) {
+  if (open_starts_.empty()) {
     // Root position: the prolog ended and no element is open yet.
     return ParseStartTag(event);
   }
@@ -552,7 +560,7 @@ Status StreamTokenizer::NextContent(StreamEvent* event) {
     size_t have = 0;
     XIC_RETURN_IF_ERROR(Ensure(9, &have));  // longest opener "<![CDATA["
     if (have == 0) {
-      return Error("unterminated element " + stack_.back());
+      return Error("unterminated element " + std::string(OpenName()));
     }
     char c = at(0);
     if (c == '<') {
@@ -625,7 +633,7 @@ Status StreamTokenizer::NextContent(StreamEvent* event) {
 }
 
 Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
-  XIC_RETURN_IF_ERROR(CheckLimit(stack_.size() + 1,
+  XIC_RETURN_IF_ERROR(CheckLimit(open_starts_.size() + 1,
                                  options_.limits.max_tree_depth,
                                  "max_tree_depth", "element nesting depth"));
   XIC_RETURN_IF_ERROR(options_.deadline.Check("XML parse"));
@@ -669,12 +677,7 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
   Consume(name_len);
   // Attributes. Values are views into buf_ (fast path) or indexes into
   // attr_store_ (slow path: normalization / expansion).
-  struct RawAttr {
-    size_t name_off, name_len;
-    bool from_store;
-    size_t value_off_or_index, value_len;
-  };
-  std::vector<RawAttr> raw_attrs;
+  raw_attrs_.clear();
   size_t store_used = 0;
   auto skip_space_here = [&]() -> Status {
     // Space inside a tag; pinned so earlier offsets survive (only
@@ -765,7 +768,7 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
     XIC_RETURN_IF_ERROR(CheckLimit(
         ++num_attrs, options_.limits.max_attributes_per_element,
         "max_attributes_per_element",
-        "attributes on element " + std::string(name)));
+        [&] { return "attributes on element " + std::string(name); }));
     size_t aoff = start_;
     size_t alen = 0;
     if (available() > 0 && IsNameStartChar(at(0))) {
@@ -782,14 +785,14 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
     XIC_RETURN_IF_ERROR(skip_space_here());
     RawAttr attr{aoff, alen, false, 0, 0};
     XIC_RETURN_IF_ERROR(parse_quoted(&attr));
-    raw_attrs.push_back(attr);
+    raw_attrs_.push_back(attr);
   }
   // Materialize views (offsets are stable: no compaction happened since
   // the prescan). A repeated attribute name keeps the last value in the
   // first-seen position -- DataTree::SetAttribute semantics.
   event->kind = StreamEventKind::kStartElement;
   event->name = name;
-  for (const RawAttr& raw : raw_attrs) {
+  for (const RawAttr& raw : raw_attrs_) {
     std::string_view aname(buf_.data() + raw.name_off, raw.name_len);
     std::string_view avalue =
         raw.from_store
@@ -806,9 +809,16 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
     }
     if (!replaced) event->attrs.push_back(StreamEvent::Attr{aname, avalue});
   }
-  stack_.emplace_back(name);
+  open_starts_.push_back(open_names_.size());
+  open_names_.append(name);
   if (self_closing) pending_end_ = true;
   return Status::OK();
+}
+
+void StreamTokenizer::PopOpen() {
+  last_name_.assign(OpenName());
+  open_names_.resize(open_starts_.back());
+  open_starts_.pop_back();
 }
 
 Status StreamTokenizer::ParseEndTag(StreamEvent* event) {
@@ -825,20 +835,19 @@ Status StreamTokenizer::ParseEndTag(StreamEvent* event) {
   if (n == 0) return Error("expected name");
   std::string_view close(buf_.data() + start_, n);
   Consume(n);
-  if (close != stack_.back()) {
+  if (close != OpenName()) {
     return Error("mismatched end tag </" + std::string(close) + "> for <" +
-                 stack_.back() + ">");
+                 std::string(OpenName()) + ">");
   }
   XIC_RETURN_IF_ERROR(SkipSpace());
   if (available() == 0 || at(0) != '>') {
     return Error("expected '>' in end tag");
   }
   Consume(1);
-  last_name_ = std::move(stack_.back());
-  stack_.pop_back();
+  PopOpen();
   event->kind = StreamEventKind::kEndElement;
   event->name = last_name_;
-  if (stack_.empty()) state_ = State::kEpilog;
+  if (open_starts_.empty()) state_ = State::kEpilog;
   return Status::OK();
 }
 

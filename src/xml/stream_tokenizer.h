@@ -10,6 +10,17 @@
 // chunks. Peak memory is O(open-element depth + largest single tag +
 // chunk size), independent of document size.
 //
+// Allocation discipline: per run, never per element. Every buffer the
+// tokenizer owns -- the byte window, the open-element names, the
+// attribute offsets and slow-path values, the text chunk -- is a member
+// that keeps its capacity, and limit messages are built only when a
+// limit is exceeded. Once the buffers have grown to the largest tag,
+// depth and text chunk seen, a start tag, an end tag or a text run
+// allocates nothing; the heap traffic of a whole document is a handful
+// of buffer doublings (tests/stream_alloc_test.cc pins this). The first
+// window is two chunks, or the input's size plus slack when the source
+// knows it and that is smaller.
+//
 // Conformance matches xml/xml_parser.cc byte-for-byte: the same XML 1.0
 // subset (prolog, DOCTYPE with internal subset, elements, attributes,
 // character data, comments, CDATA, character/predefined entity
@@ -145,7 +156,7 @@ class StreamTokenizer {
   Status Next(StreamEvent* event);
 
   /// Open-element depth (root start tag => 1 while open).
-  size_t depth() const { return stack_.size(); }
+  size_t depth() const { return open_starts_.size(); }
 
   /// Bytes of input consumed so far (diagnostics).
   uint64_t consumed_bytes() const { return base_ + start_; }
@@ -197,7 +208,7 @@ class StreamTokenizer {
   /// declaration), streaming through the buffer. `what` names the
   /// unterminated error, reported at `mark`; empty `what` consumes
   /// silently to EOF (SkipMisc semantics).
-  Status SkipUntil(std::string_view terminator, const std::string& what,
+  Status SkipUntil(std::string_view terminator, std::string_view what,
                    const Mark& mark);
   /// Streams CDATA content into text_buf_ until "]]>"; sets *emitted
   /// when a full chunk was flushed into `event` mid-section.
@@ -210,8 +221,23 @@ class StreamTokenizer {
   void EmitText(StreamEvent* event);
 
   Mark Here() const;
-  Status ErrorAt(const Mark& mark, const std::string& what) const;
-  Status Error(const std::string& what) const;
+  Status ErrorAt(const Mark& mark, std::string_view what) const;
+  Status Error(std::string_view what) const;
+
+  /// Name of the innermost open element.
+  std::string_view OpenName() const {
+    return std::string_view(open_names_).substr(open_starts_.back());
+  }
+  /// Closes the innermost open element; its name moves to last_name_.
+  void PopOpen();
+
+  /// One attribute of the start tag being parsed: offsets into buf_
+  /// (stable while the tag is pinned) or an index into attr_store_.
+  struct RawAttr {
+    size_t name_off, name_len;
+    bool from_store;
+    size_t value_off_or_index, value_len;
+  };
 
   ByteSource& source_;
   StreamTokenizerOptions options_;
@@ -227,8 +253,9 @@ class StreamTokenizer {
   uint64_t line_start_ = 0;  // absolute offset just after the last '\n'
 
   State state_ = State::kProlog;
-  std::vector<std::string> stack_;  // open element names
-  bool pending_end_ = false;        // synthesized EndElement (self-closing)
+  std::string open_names_;           // open element names, concatenated
+  std::vector<size_t> open_starts_;  // offset of each name in open_names_
+  bool pending_end_ = false;         // synthesized EndElement (self-closing)
   std::string last_name_;           // backs kEndElement name views
   std::string doctype_name_;
   std::string doctype_subset_;
@@ -239,6 +266,7 @@ class StreamTokenizer {
   std::string text_buf_;    // pending character data
   std::string emit_buf_;    // backs the previous kText event's view
   bool text_all_space_ = true;
+  std::vector<RawAttr> raw_attrs_;       // current start tag (reused)
   std::vector<std::string> attr_store_;  // slow-path attr values (reused)
   uint64_t expanded_bytes_ = 0;          // shared expansion budget
 };

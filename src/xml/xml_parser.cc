@@ -188,7 +188,7 @@ class XmlParser {
         XIC_RETURN_IF_ERROR(CheckLimit(
             ++num_attrs, options_.limits.max_attributes_per_element,
             "max_attributes_per_element",
-            "attributes on element " + std::string(name)));
+            [&] { return "attributes on element " + std::string(name); }));
         XIC_ASSIGN_OR_RETURN(std::string_view attr, ParseName());
         SkipSpace();
         if (pos_ >= text_.size() || text_[pos_] != '=') {
@@ -568,13 +568,7 @@ AttrValue TokenizeAttrValue(std::string_view raw, bool set_valued) {
   // Set-valued (IDREFS-style) attributes split on XML S whitespace only:
   // \f/\v are data bytes, not separators, so extents cannot change under
   // locale-flavored isspace.
-  size_t i = 0;
-  while (i < raw.size()) {
-    while (i < raw.size() && IsXmlSpace(raw[i])) ++i;
-    size_t start = i;
-    while (i < raw.size() && !IsXmlSpace(raw[i])) ++i;
-    if (i > start) out.emplace(raw.substr(start, i - start));
-  }
+  ForEachXmlSpaceToken(raw, [&](std::string_view t) { out.emplace(t); });
   return out;
 }
 

@@ -1,0 +1,158 @@
+// Heap allocations on the streaming hot path must not grow with the
+// number of elements: the tokenizer and StreamRun allocate per run and
+// per distinct label, never per element. This binary replaces the global
+// allocation functions with counting ones (hence its own executable) and
+// streams generated catalogs of 10k and 100k elements -- keys, a foreign
+// key and a set-valued foreign key, long element names, entity
+// references in attribute values and comments in content -- first
+// through StreamTokenizer alone, then through StreamValidator::Run. The
+// larger document may cost only a few more buffer doublings.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "engine/stream_validator.h"
+#include "xml/dtdc_io.h"
+#include "xml/stream_tokenizer.h"
+
+namespace {
+std::atomic<size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+
+namespace xic {
+namespace {
+
+// Extra allocations the 100k-element run may make over the 10k one:
+// geometric growth of the extent logs, the root's child word and the
+// capture buffers (about log2(10) doublings each), never one per element.
+constexpr size_t kMaxExtraAllocations = 64;
+
+const char* const kSchema =
+    "<!ELEMENT catalog (publisher*, book*)>\n"
+    "<!ELEMENT publisher (name)>\n"
+    "<!ATTLIST publisher pid CDATA #REQUIRED>\n"
+    "<!ELEMENT name (#PCDATA)>\n"
+    "<!ELEMENT book (title, contributing_author+, cites?)>\n"
+    "<!ATTLIST book isbn CDATA #REQUIRED pub CDATA #REQUIRED>\n"
+    "<!ELEMENT title (#PCDATA)>\n"
+    "<!ELEMENT contributing_author (#PCDATA)>\n"
+    "<!ELEMENT cites EMPTY>\n"
+    "<!ATTLIST cites to NMTOKENS #REQUIRED>\n"
+    "<!-- xic:constraints language=L_u\n"
+    "key publisher.pid\n"
+    "key book.isbn\n"
+    "fk book.pub -> publisher.pid\n"
+    "sfk cites.to -> book.isbn\n"
+    "-->\n";
+
+// A valid catalog of at least `elements` elements: one publisher (2
+// elements) per 50 books (4 elements each).
+std::string Catalog(size_t elements) {
+  const size_t books = elements / 4;
+  const size_t publishers = books / 50 + 1;
+  std::string doc = std::string("<!DOCTYPE catalog [\n") + kSchema + "]>\n";
+  doc += "<catalog>\n";
+  for (size_t p = 0; p < publishers; ++p) {
+    std::string n = std::to_string(p);
+    doc += "<publisher pid=\"p" + n + "\"><name>house &amp; sons " + n +
+           "</name></publisher>\n";
+  }
+  for (size_t b = 0; b < books; ++b) {
+    std::string n = std::to_string(b);
+    doc += "<book isbn=\"b" + n + "\" pub=\"p" +
+           std::to_string(b % publishers) + "\"><title>volume &#65; " + n +
+           "</title><!-- entry " + n +
+           " --><contributing_author>author " + n +
+           "</contributing_author><cites to=\"b" + std::to_string(b / 2) +
+           "\n b" + std::to_string(b / 3) + "\"/></book>\n";
+  }
+  doc += "</catalog>\n";
+  return doc;
+}
+
+// Allocations made by one tokenizer pass over `doc`; sets *elements.
+size_t TokenizerAllocations(const std::string& doc, size_t* elements) {
+  size_t before = g_allocations.load();
+  {
+    StringSource source(doc);
+    StreamTokenizer tok(source);
+    StreamEvent ev;
+    *elements = 0;
+    for (;;) {
+      Status s = tok.Next(&ev);
+      if (!s.ok()) {
+        ADD_FAILURE() << s;
+        break;
+      }
+      if (ev.kind == StreamEventKind::kStartElement) ++*elements;
+      if (ev.kind == StreamEventKind::kEndDocument) break;
+    }
+  }
+  return g_allocations.load() - before;
+}
+
+// Allocations made by one validation run (the plan compiled beforehand).
+size_t ValidatorAllocations(const StreamValidator& validator,
+                            const std::string& doc, size_t* vertices) {
+  size_t before = g_allocations.load();
+  {
+    StringSource source(doc);
+    StreamOutcome out = validator.Run(source);
+    EXPECT_TRUE(out.ok()) << out.parse << out.structure.ToString();
+    EXPECT_GT(out.stats.extent_records, 0u);
+    *vertices = out.stats.vertices;
+  }
+  return g_allocations.load() - before;
+}
+
+TEST(StreamAlloc, TokenizerAllocationsDoNotGrowWithElements) {
+  const std::string small = Catalog(10000);
+  const std::string large = Catalog(100000);
+  size_t small_elements = 0, large_elements = 0;
+  const size_t small_allocs = TokenizerAllocations(small, &small_elements);
+  const size_t large_allocs = TokenizerAllocations(large, &large_elements);
+  ASSERT_GE(small_elements, 10000u);
+  ASSERT_GE(large_elements, 100000u);
+  EXPECT_LE(large_allocs, small_allocs + kMaxExtraAllocations)
+      << small_elements << " elements: " << small_allocs << " allocations; "
+      << large_elements << " elements: " << large_allocs;
+}
+
+TEST(StreamAlloc, ValidatorAllocationsDoNotGrowWithElements) {
+  Result<DtdC> schema = ParseDtdC(kSchema, "catalog");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  ASSERT_TRUE(schema.value().sigma.has_value());
+  StreamValidator validator(schema.value().dtd, *schema.value().sigma);
+  ASSERT_TRUE(validator.status().ok()) << validator.status();
+
+  const std::string small = Catalog(10000);
+  const std::string large = Catalog(100000);
+  size_t small_vertices = 0, large_vertices = 0;
+  const size_t small_allocs =
+      ValidatorAllocations(validator, small, &small_vertices);
+  const size_t large_allocs =
+      ValidatorAllocations(validator, large, &large_vertices);
+  ASSERT_GE(small_vertices, 10000u);
+  ASSERT_GE(large_vertices, 100000u);
+  EXPECT_LE(large_allocs, small_allocs + kMaxExtraAllocations)
+      << small_vertices << " vertices: " << small_allocs << " allocations; "
+      << large_vertices << " vertices: " << large_allocs;
+}
+
+}  // namespace
+}  // namespace xic

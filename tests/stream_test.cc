@@ -409,6 +409,239 @@ TEST(StreamParity, TruncationAndStrictAttributesMatch) {
   }
 }
 
+// -- Parity where reused per-element state could leak ---------------------
+//
+// StreamRun keeps one frame slot per depth and reuses its field buffers
+// for the next element opened there, and splits attribute values into
+// tokens only on demand. Each case below is a document on which state
+// left over from a previous element, or a skipped split, would change
+// the verdict bytes.
+
+// The streaming constraint report of a self-describing document, after
+// checking that its constraints were recovered and well-formed: parity
+// on a document whose constraints never run would prove nothing.
+std::string StreamConstraintReport(const std::string& text) {
+  StringSource source(text);
+  SelfDescribingStreamResult s = StreamValidateSelfDescribing(source);
+  EXPECT_TRUE(s.outcome.parse.ok()) << s.outcome.parse;
+  EXPECT_TRUE(s.sigma.has_value());
+  EXPECT_TRUE(s.well_formed.ok()) << s.well_formed;
+  if (!s.sigma.has_value()) return "";
+  return s.outcome.constraints.ToString(*s.sigma);
+}
+
+TEST(StreamParity, SiblingsOfDifferentTypesReuseOneFrameSlot) {
+  // Depth 2 alternates between a type with two fields (an attribute and
+  // a captured sub-element), a type with one, and a type with none.
+  std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (a | b | c)*>\n"
+      "<!ELEMENT a (n)>\n"
+      "<!ATTLIST a k CDATA #IMPLIED>\n"
+      "<!ELEMENT b (n?)>\n"
+      "<!ELEMENT c (n)>\n"
+      "<!ELEMENT n (#PCDATA)>\n"
+      "<!-- xic:constraints language=L\n"
+      "  key a[k, n]\n"
+      "  key a.n\n"
+      "  key c.n\n"
+      "  fk c.n -> a.n\n"
+      "-->\n"
+      "]>\n"
+      "<db><a k=\"1\"><n>x</n></a><b><n>x</n></b><a><n>x</n></a>"
+      "<c><n>y</n></c><b/><c><n>x</n></c><a k=\"1\"><n>x</n></a>"
+      "<c><n>y</n></c><a k=\"2\"/><c/><b><n>z</n></b><c><n>z</n></c></db>\n";
+  for (size_t budget : {size_t{0}, size_t{1}}) {
+    EXPECT_TRUE(VerdictsAgree(text, budget, true)) << budget;
+    EXPECT_TRUE(VerdictsAgree(text, budget, false)) << budget;
+  }
+  const std::string report = StreamConstraintReport(text);
+  EXPECT_NE(report.find("duplicate key [1,x]"), std::string::npos) << report;
+  EXPECT_NE(report.find("dangling reference [z]"), std::string::npos)
+      << report;
+}
+
+TEST(StreamParity, SetValuedTokensDeduplicateAndSkipWhitespace) {
+  std::string text =
+      "<!DOCTYPE catalog [\n"
+      "<!ELEMENT catalog (book*)>\n"
+      "<!ELEMENT book (cites?)>\n"
+      "<!ATTLIST book isbn CDATA #REQUIRED>\n"
+      "<!ELEMENT cites EMPTY>\n"
+      "<!ATTLIST cites to NMTOKENS #REQUIRED>\n"
+      "<!-- xic:constraints language=L_u\n"
+      "  key book.isbn\n"
+      "  sfk cites.to -> book.isbn\n"
+      "-->\n"
+      "]>\n"
+      "<catalog>\n"
+      "<book isbn=\"b0\"><cites to=\"b0  b0\"/></book>\n"
+      "<book isbn=\"b1\"><cites to=\" \"/></book>\n"
+      "<book isbn=\"b2\"><cites to=\"\tb9 b1\n b9 b0 \"/></book>\n"
+      "<book isbn=\"b3\"><cites to=\"\"/></book>\n"
+      "<book isbn=\"b4\"><cites to=\"b8\"/></book>\n"
+      "</catalog>\n";
+  for (size_t budget : {size_t{0}, size_t{1}}) {
+    EXPECT_TRUE(VerdictsAgree(text, budget, true)) << budget;
+  }
+  // "b9" twice in one value is one reference.
+  EXPECT_EQ(StreamConstraintReport(text),
+            "cites.to <=S book.isbn: dangling reference \"b9\"\n"
+            "cites.to <=S book.isbn: dangling reference \"b8\"\n");
+}
+
+TEST(StreamParity, FieldFromSubElementAfterSiblingFromAttribute) {
+  // `name` is a unique sub-element of person, but an (undeclared)
+  // attribute of the same name takes precedence when present. The slot
+  // the first person leaves behind holds an attribute value; the next
+  // person's field must come from its sub-element alone.
+  std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (person*)>\n"
+      "<!ELEMENT person (name)>\n"
+      "<!ELEMENT name (#PCDATA)>\n"
+      "<!-- xic:constraints language=L\n"
+      "  key person.name\n"
+      "-->\n"
+      "]>\n"
+      "<db>\n"
+      "<person name=\"Bob\"><name>Ann</name></person>\n"
+      "<person><name>Bob</name></person>\n"
+      "<person name=\"Ann Lee\"><name>Cy</name></person>\n"
+      "<person><name>Ann</name></person>\n"
+      "<person><name>Cy</name></person>\n"
+      "</db>\n";
+  for (size_t budget : {size_t{0}, size_t{1}}) {
+    EXPECT_TRUE(VerdictsAgree(text, budget, true)) << budget;
+    EXPECT_TRUE(VerdictsAgree(text, budget, false)) << budget;
+  }
+  EXPECT_EQ(StreamConstraintReport(text),
+            "person.name -> person: duplicate key [Bob]\n");
+}
+
+TEST(StreamParity, UndeclaredAttributesOnManyElements) {
+  std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (t*)>\n"
+      "<!ELEMENT t EMPTY>\n"
+      "<!ATTLIST t k CDATA #REQUIRED s NMTOKENS #IMPLIED>\n"
+      "<!-- xic:constraints language=L\n"
+      "  key t.k\n"
+      "-->\n"
+      "]>\n"
+      "<db>\n";
+  for (int i = 0; i < 200; ++i) {
+    std::string n = std::to_string(i % 150);
+    text += "<t zz=\"" + n + " " + n + "\" k=\"k" + n +
+            "\" extra=\"a b\" s=\"" + n + "  x\" aa=\"\"/>\n";
+  }
+  text += "</db>\n";
+  for (size_t budget : {size_t{0}, size_t{1}}) {
+    EXPECT_TRUE(VerdictsAgree(text, budget, true)) << budget;
+    EXPECT_TRUE(VerdictsAgree(text, budget, false)) << budget;
+  }
+  EXPECT_NE(StreamConstraintReport(text).find("duplicate key [k0]"),
+            std::string::npos);
+}
+
+// The precompiled-schema pipelines (BatchValidator, xicd): a document's
+// own internal subset governs how attribute values split into tokens,
+// while the compiled schema decides what is valid. Returns an
+// explanation when the DOM and stream verdicts differ.
+testing::AssertionResult PrecompiledVerdictsAgree(const std::string& schema,
+                                                  const std::string& root,
+                                                  const std::string& text) {
+  Result<DtdC> compiled = ParseDtdC(schema, root);
+  if (!compiled.ok()) {
+    return testing::AssertionFailure() << "schema: " << compiled.status();
+  }
+  const DtdStructure& dtd = compiled.value().dtd;
+  const ConstraintSet& sigma = *compiled.value().sigma;
+  if (Status wf = CheckWellFormed(sigma, dtd); !wf.ok()) {
+    return testing::AssertionFailure() << "schema sigma: " << wf;
+  }
+  StreamValidator streamer(dtd, sigma);
+  StringSource source(text);
+  StreamOutcome s = streamer.Run(source);
+
+  XmlParseOptions parse;
+  parse.dtd = &dtd;
+  Result<XmlDocument> parsed = ParseXml(text, parse);
+  std::string dom_parse = parsed.ok() ? "OK" : parsed.status().ToString();
+  std::string stream_parse = s.parse.ok() ? "OK" : s.parse.ToString();
+  if (dom_parse != stream_parse) {
+    return testing::AssertionFailure() << "parse status: DOM \"" << dom_parse
+                                       << "\" vs stream \"" << stream_parse
+                                       << "\"";
+  }
+  if (!parsed.ok()) return testing::AssertionSuccess();
+  const DataTree& tree = parsed.value().tree;
+  std::string dom_structure =
+      StructuralValidator(dtd).Validate(tree).ToString();
+  if (dom_structure != s.structure.ToString()) {
+    return testing::AssertionFailure()
+           << "structure reports:\n--- DOM ---\n" << dom_structure
+           << "--- stream ---\n" << s.structure.ToString();
+  }
+  std::string dom_constraints =
+      ConstraintChecker(dtd, sigma).Check(tree).ToString(sigma);
+  if (dom_constraints != s.constraints.ToString(sigma)) {
+    return testing::AssertionFailure()
+           << "constraint reports:\n--- DOM ---\n" << dom_constraints
+           << "--- stream ---\n" << s.constraints.ToString(sigma);
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(StreamParity, SetValuedValueOnSingleValuedAttribute) {
+  // The schema declares t.a single-valued; the document's own subset
+  // declares it NMTOKENS, so "x y" tokenizes to two values and the
+  // schema's single-valued check must say so.
+  const std::string schema =
+      "<!ELEMENT db (t*)>\n"
+      "<!ELEMENT t EMPTY>\n"
+      "<!ATTLIST t a CDATA #REQUIRED>\n"
+      "<!-- xic:constraints language=L\n  key t.a\n-->\n";
+  const std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (t*)>\n"
+      "<!ELEMENT t EMPTY>\n"
+      "<!ATTLIST t a NMTOKENS #REQUIRED>\n"
+      "]>\n"
+      "<db><t a=\"x y\"/><t a=\"x x\"/><t a=\" \"/><t a=\"y\"/>"
+      "<t a=\"z  y x\"/></db>\n";
+  EXPECT_TRUE(PrecompiledVerdictsAgree(schema, "db", text));
+  StringSource source(text);
+  Result<DtdC> compiled = ParseDtdC(schema, "db");
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  StreamValidator streamer(compiled.value().dtd, *compiled.value().sigma);
+  StreamOutcome s = streamer.Run(source);
+  EXPECT_NE(s.structure.ToString().find(
+                "single-valued attribute t.a holds 2 values"),
+            std::string::npos)
+      << s.structure.ToString();
+}
+
+TEST(StreamParity, IdAttributeWithTwoTokens) {
+  // An ID declared single-valued in the schema but IDREFS in the
+  // document's subset: a two-token value is no ID at all, neither for
+  // the document-wide ID table nor for the id constraint's field.
+  const std::string schema =
+      "<!ELEMENT db (t*)>\n"
+      "<!ELEMENT t EMPTY>\n"
+      "<!ATTLIST t oid ID #REQUIRED>\n"
+      "<!-- xic:constraints language=L_id\n  id t.oid\n-->\n";
+  const std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (t*)>\n"
+      "<!ELEMENT t EMPTY>\n"
+      "<!ATTLIST t oid IDREFS #REQUIRED>\n"
+      "]>\n"
+      "<db><t oid=\"o1 o2\"/><t oid=\"o1\"/><t oid=\"o2 o2\"/><t oid=\"o2\"/>"
+      "<t oid=\"o1 o2\"/></db>\n";
+  EXPECT_TRUE(PrecompiledVerdictsAgree(schema, "db", text));
+}
+
 TEST(StreamValidator, PrecompiledPlanRunsManyDocuments) {
   // The StreamValidator front door: compile once, stream many.
   Result<DtdC> schema = ParseDtdC(
