@@ -1021,17 +1021,15 @@ StreamOutcome StreamValidator::Run(ByteSource& source,
     return out;
   }
   // The document's own internal subset overrides the compiled DTD for
-  // attribute tokenization only (DOM MakeAttrValue semantics); the
-  // validation plan stays precompiled.
+  // attribute tokenization only (as in ParseXml); the validation plan
+  // stays precompiled.
   std::optional<DtdStructure> doc_dtd;
   const StreamEvent* pending = nullptr;
   if (ev.kind == StreamEventKind::kDoctype) {
     if (ev.has_internal_subset) {
-      DtdParseOptions dopt;
-      dopt.limits = limits;
-      dopt.deadline = deadline;
-      Result<DtdStructure> parsed = ParseDtd(std::string(ev.internal_subset),
-                                             std::string(ev.name), dopt);
+      Result<DtdStructure> parsed =
+          ParseInternalSubset(std::string(ev.internal_subset),
+                              std::string(ev.name), limits, deadline);
       if (!parsed.ok()) {
         out.parse = parsed.status();
         return out;
@@ -1068,10 +1066,8 @@ SelfDescribingStreamResult StreamValidateSelfDescribing(
     r.doctype_name = std::string(ev.name);
     if (ev.has_internal_subset) {
       std::string subset(ev.internal_subset);
-      DtdParseOptions dopt;
-      dopt.limits = options.limits;
-      dopt.deadline = options.deadline;
-      Result<DtdStructure> dtd = ParseDtd(subset, r.doctype_name, dopt);
+      Result<DtdStructure> dtd = ParseInternalSubset(
+          subset, r.doctype_name, options.limits, options.deadline);
       if (!dtd.ok()) {
         // The DOM parser fails the whole parse here, before any content.
         r.outcome.parse = dtd.status();

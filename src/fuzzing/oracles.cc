@@ -9,6 +9,7 @@
 #include "constraints/incremental.h"
 #include "constraints/well_formed.h"
 #include "engine/stream_validator.h"
+#include "fuzzing/chunked_source.h"
 #include "implication/countermodel.h"
 #include "implication/l_general_solver.h"
 #include "implication/lid_solver.h"
@@ -614,9 +615,11 @@ std::optional<std::string> CompareStream(const std::string& text,
   StreamOptions sopt;
   sopt.validation.allow_missing_attributes = allow_missing;
   sopt.spill_budget_bytes = spill_budget;
-  // Tiny chunks so one text run regularly spans several kText events.
+  // Tiny chunks so one text run regularly spans several kText events, and
+  // 64-byte reads through the tokenizer's window (ParseXml reads its
+  // string in place), so refills and compaction stay under the oracle.
   sopt.chunk_bytes = 64;
-  StringSource source(text);
+  ChunkedSource source(text, 64);
   SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, sopt);
 
   Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);
@@ -713,9 +716,10 @@ OracleOutcome StreamTrial(uint64_t seed, const GenOptions& opt) {
     return outcome;
   }
   std::string text = WriteDocumentWithDtdC(doc.value(), dtd, sigma);
-  // A third of the trials corrupt the bytes: both parsers must then fail
+  // A third of the trials corrupt the bytes: both paths must then fail
   // with the identical status (message, line, column) -- this is what
-  // keeps the tokenizer's error surface pinned to the DOM parser's.
+  // keeps the windowed reader's error surface pinned to the in-place
+  // one's.
   if (rng.Chance(33)) {
     size_t edits = rng.Range(1, 3);
     for (size_t i = 0; i < edits && !text.empty(); ++i) {

@@ -22,13 +22,15 @@
 //   kLint         xiclint determinism (two runs byte-identical) and
 //                 verdict invariance under a WriteDtdC / ParseDtdC
 //                 round-trip.
-//   kStream       the streaming pipeline (StreamValidateSelfDescribing,
-//                 spill budgets from never-spill to spill-everything)
-//                 vs. the materialized DOM pipeline: parse status,
-//                 structure report and constraint report must agree
-//                 byte-for-byte, witnesses included. A third of trials
-//                 corrupt the serialized bytes so the two parsers' error
-//                 texts and positions are compared too.
+//   kStream       the streaming pipeline (StreamValidateSelfDescribing
+//                 reading through the tokenizer's window in 64-byte
+//                 reads, spill budgets from never-spill to
+//                 spill-everything) vs. the materialized DOM pipeline
+//                 (ParseXml reading in place): parse status, structure
+//                 report and constraint report must agree byte-for-byte,
+//                 witnesses included. A third of trials corrupt the
+//                 serialized bytes so the two paths' error texts and
+//                 positions are compared too.
 //
 // Every oracle has two entry points sharing one comparison core: a
 // seed-driven trial (generate inputs, compare) and a corpus replay

@@ -256,4 +256,14 @@ Result<DtdStructure> ParseDtd(const std::string& text,
   return result;
 }
 
+Result<DtdStructure> ParseInternalSubset(const std::string& subset,
+                                         const std::string& doctype_name,
+                                         const ResourceLimits& limits,
+                                         const Deadline& deadline) {
+  DtdParseOptions options;
+  options.limits = limits;
+  options.deadline = deadline;
+  return ParseDtd(subset, doctype_name, options);
+}
+
 }  // namespace xic

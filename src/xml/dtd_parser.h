@@ -36,6 +36,15 @@ Result<DtdStructure> ParseDtd(const std::string& text,
                               const std::string& root,
                               const DtdParseOptions& options = {});
 
+/// Parses the internal subset of a DOCTYPE named `doctype_name` (which
+/// becomes the root) under the document's own limits and deadline. The
+/// DOM parser and both streaming entry points recover a document's DTD
+/// through this one call, so their errors agree byte for byte.
+Result<DtdStructure> ParseInternalSubset(const std::string& subset,
+                                         const std::string& doctype_name,
+                                         const ResourceLimits& limits,
+                                         const Deadline& deadline);
+
 }  // namespace xic
 
 #endif  // XIC_XML_DTD_PARSER_H_

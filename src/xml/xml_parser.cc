@@ -7,488 +7,80 @@
 #include "obs/obs.h"
 #include "util/strings.h"
 #include "xml/dtd_parser.h"
+#include "xml/stream_tokenizer.h"
 
 namespace xic {
 
 namespace {
 
-bool IsAllWhitespace(std::string_view text) {
-  for (char c : text) {
-    if (!IsXmlSpace(c)) return false;
-  }
-  return true;
-}
-
-class XmlParser {
- public:
-  XmlParser(std::string_view text, const XmlParseOptions& options)
-      : text_(text), options_(options) {}
-
-  Result<XmlDocument> Parse() {
-    XIC_RETURN_IF_ERROR(CheckLimit(text_.size(),
-                                   options_.limits.max_document_bytes,
-                                   "max_document_bytes", "document size"));
-    XIC_RETURN_IF_ERROR(ParseProlog());
-    XIC_ASSIGN_OR_RETURN(VertexId root, ParseElement(kInvalidVertex, 1));
-    (void)root;
-    SkipMisc();
-    if (pos_ != text_.size()) {
-      return Result<XmlDocument>(Error("content after document element"));
+// Builds the data tree from the tokenizer's events: a vertex per start
+// tag, one text child per run of kText chunks.
+Result<XmlDocument> BuildDocument(const std::string& text,
+                                  const XmlParseOptions& options) {
+  StringSource source(text);
+  StreamTokenizerOptions tokenizer_options;
+  tokenizer_options.limits = options.limits;
+  tokenizer_options.deadline = options.deadline;
+  StreamTokenizer tokenizer(source, tokenizer_options);
+  XmlDocument doc;
+  std::vector<VertexId> open;
+  std::string run;  // the pending text run, joined across chunks
+  bool run_all_space = true;
+  StreamEvent event;
+  while (true) {
+    XIC_RETURN_IF_ERROR(tokenizer.Next(&event));
+    if (event.kind == StreamEventKind::kText) {
+      run.append(event.text);
+      run_all_space = run_all_space && event.text_all_space;
+      continue;
     }
-    return std::move(doc_);
-  }
-
- private:
-  Status ParseProlog() {
-    SkipMisc();
-    if (PeekXmlDecl()) {
-      size_t end = text_.find("?>", pos_);
-      if (end == std::string_view::npos) {
-        return Error("unterminated XML declaration");
+    if (!run.empty()) {
+      if (!(options.skip_ignorable_whitespace && run_all_space)) {
+        doc.tree.AddChildText(open.back(), std::move(run));
       }
-      pos_ = end + 2;
+      run.clear();
     }
-    SkipMisc();
-    if (Peek("<!DOCTYPE")) {
-      XIC_RETURN_IF_ERROR(ParseDoctype());
-    }
-    SkipMisc();
-    return Status::OK();
-  }
-
-  Status ParseDoctype() {
-    pos_ += 9;  // "<!DOCTYPE"
-    SkipSpace();
-    XIC_ASSIGN_OR_RETURN(std::string_view doctype_name, ParseName());
-    doc_.doctype_name.assign(doctype_name);
-    SkipSpace();
-    // External id (SYSTEM/PUBLIC) -- recorded as unsupported external
-    // subset; we only read the internal subset.
-    if (Peek("SYSTEM") || Peek("PUBLIC")) {
-      while (pos_ < text_.size() && text_[pos_] != '[' && text_[pos_] != '>') {
-        if (text_[pos_] == '"' || text_[pos_] == '\'') {
-          size_t end = text_.find(text_[pos_], pos_ + 1);
-          if (end == std::string_view::npos) {
-            return Error("unterminated literal in DOCTYPE");
-          }
-          pos_ = end + 1;
-        } else {
-          ++pos_;
+    run_all_space = true;
+    switch (event.kind) {
+      case StreamEventKind::kDoctype:
+        doc.doctype_name.assign(event.name);
+        if (event.has_internal_subset) {
+          doc.internal_subset.assign(event.internal_subset);
+          XIC_ASSIGN_OR_RETURN(
+              doc.dtd, ParseInternalSubset(doc.internal_subset,
+                                           doc.doctype_name, options.limits,
+                                           options.deadline));
         }
-      }
-    }
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '[') {
-      ++pos_;
-      // The subset ends at the first ']' outside comments, processing
-      // instructions and quoted literals (comments may contain ']', e.g.
-      // embedded constraint blocks with multi-attribute keys).
-      size_t end = std::string_view::npos;
-      for (size_t i = pos_; i < text_.size();) {
-        if (text_.substr(i, 4) == "<!--") {
-          size_t close = text_.find("-->", i + 4);
-          if (close == std::string_view::npos) break;
-          i = close + 3;
-        } else if (text_.substr(i, 2) == "<?") {
-          size_t close = text_.find("?>", i + 2);
-          if (close == std::string_view::npos) break;
-          i = close + 2;
-        } else if (text_[i] == '"' || text_[i] == '\'') {
-          size_t close = text_.find(text_[i], i + 1);
-          if (close == std::string_view::npos) break;
-          i = close + 1;
-        } else if (text_[i] == ']') {
-          end = i;
-          break;
-        } else {
-          ++i;
+        break;
+      case StreamEventKind::kStartElement: {
+        VertexId v = doc.tree.AddVertex(event.name);
+        if (!open.empty()) {
+          XIC_RETURN_IF_ERROR(doc.tree.AddChildVertex(open.back(), v));
         }
-      }
-      if (end == std::string_view::npos) {
-        return Error("unterminated internal subset");
-      }
-      std::string subset(text_.substr(pos_, end - pos_));
-      pos_ = end + 1;
-      DtdParseOptions dtd_options;
-      dtd_options.limits = options_.limits;
-      dtd_options.deadline = options_.deadline;
-      XIC_ASSIGN_OR_RETURN(
-          DtdStructure dtd,
-          ParseDtd(subset, doc_.doctype_name, dtd_options));
-      doc_.dtd = std::move(dtd);
-      doc_.internal_subset = std::move(subset);
-    }
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '>') {
-      return Error("expected '>' closing DOCTYPE");
-    }
-    ++pos_;
-    return Status::OK();
-  }
-
-  // One element currently open during the iterative content walk. `name`
-  // is a view into the input buffer (stable for the whole parse).
-  struct OpenElement {
-    std::string_view name;
-    VertexId vertex = kInvalidVertex;
-    std::string text_buffer;
-  };
-
-  // Parses one element subtree with an explicit open-element stack (no
-  // recursion, so max_tree_depth can be raised arbitrarily without
-  // overflowing the native stack); attaches the top element to `parent`
-  // (or makes it the root). `depth` is the nesting depth of the first
-  // start tag (root = 1).
-  Result<VertexId> ParseElement(VertexId parent, size_t depth) {
-    std::vector<OpenElement> stack;
-    auto flush_text = [&](OpenElement& open) {
-      if (open.text_buffer.empty()) return;
-      if (!(options_.skip_ignorable_whitespace &&
-            IsAllWhitespace(open.text_buffer))) {
-        doc_.tree.AddChildText(open.vertex, std::move(open.text_buffer));
-      }
-      open.text_buffer.clear();
-    };
-    while (true) {
-      // Positioned at a start tag.
-      XIC_RETURN_IF_ERROR(CheckLimit(depth + stack.size(),
-                                     options_.limits.max_tree_depth,
-                                     "max_tree_depth",
-                                     "element nesting depth"));
-      XIC_RETURN_IF_ERROR(options_.deadline.Check("XML parse"));
-      if (pos_ >= text_.size() || text_[pos_] != '<') {
-        return Result<VertexId>(Error("expected '<'"));
-      }
-      ++pos_;
-      // Names are views into the input buffer (zero-copy): the only copy
-      // happens inside the tree's symbol table, once per distinct name.
-      XIC_ASSIGN_OR_RETURN(std::string_view name, ParseName());
-      VertexId v = doc_.tree.AddVertex(name);
-      VertexId p = stack.empty() ? parent : stack.back().vertex;
-      if (p != kInvalidVertex) {
-        XIC_RETURN_IF_ERROR(doc_.tree.AddChildVertex(p, v));
-      }
-      // Attributes.
-      bool self_closing = false;
-      size_t num_attrs = 0;
-      while (true) {
-        SkipSpace();
-        if (pos_ >= text_.size()) {
-          return Result<VertexId>(Error("unterminated start tag"));
+        // Set-valuedness comes from the document's own DTD when it has
+        // one, else from the caller's.
+        const DtdStructure* dtd =
+            doc.dtd.has_value() ? &*doc.dtd : options.dtd;
+        for (const StreamEvent::Attr& attr : event.attrs) {
+          doc.tree.SetAttribute(
+              v, attr.name,
+              TokenizeAttrValue(attr.value,
+                                dtd != nullptr &&
+                                    dtd->IsSetValued(event.name, attr.name)));
         }
-        if (text_[pos_] == '>') {
-          ++pos_;
-          break;
-        }
-        if (Peek("/>")) {
-          pos_ += 2;
-          self_closing = true;
-          break;
-        }
-        XIC_RETURN_IF_ERROR(CheckLimit(
-            ++num_attrs, options_.limits.max_attributes_per_element,
-            "max_attributes_per_element",
-            [&] { return "attributes on element " + std::string(name); }));
-        XIC_ASSIGN_OR_RETURN(std::string_view attr, ParseName());
-        SkipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != '=') {
-          return Result<VertexId>(Error("expected '=' after attribute name"));
-        }
-        ++pos_;
-        SkipSpace();
-        XIC_ASSIGN_OR_RETURN(std::string_view raw, ParseQuoted());
-        doc_.tree.SetAttribute(v, attr, MakeAttrValue(name, attr, raw));
-      }
-      if (self_closing) {
-        if (stack.empty()) return v;
-      } else {
-        stack.push_back(OpenElement{name, v, {}});
-      }
-      // Content of the innermost open element; leaves this loop either by
-      // closing the subtree's first element (return) or at a child start
-      // tag (back to the outer loop).
-      bool at_child_start = false;
-      while (!at_child_start && !stack.empty()) {
-        OpenElement& top = stack.back();
-        if (pos_ >= text_.size()) {
-          return Result<VertexId>(
-              Error("unterminated element " + std::string(top.name)));
-        }
-        if (Peek("</")) {
-          flush_text(top);
-          pos_ += 2;
-          XIC_ASSIGN_OR_RETURN(std::string_view close, ParseName());
-          if (close != top.name) {
-            return Result<VertexId>(
-                Error("mismatched end tag </" + std::string(close) +
-                      "> for <" + std::string(top.name) + ">"));
-          }
-          SkipSpace();
-          if (pos_ >= text_.size() || text_[pos_] != '>') {
-            return Result<VertexId>(Error("expected '>' in end tag"));
-          }
-          ++pos_;
-          VertexId closed = top.vertex;
-          stack.pop_back();
-          if (stack.empty()) return closed;
-          continue;
-        }
-        if (Peek("<!--")) {
-          size_t end = text_.find("-->", pos_ + 4);
-          if (end == std::string_view::npos) {
-            return Result<VertexId>(Error("unterminated comment"));
-          }
-          pos_ = end + 3;
-          continue;
-        }
-        if (Peek("<![CDATA[")) {
-          size_t end = text_.find("]]>", pos_ + 9);
-          if (end == std::string_view::npos) {
-            return Result<VertexId>(Error("unterminated CDATA"));
-          }
-          AppendNormalized(text_.substr(pos_ + 9, end - pos_ - 9),
-                           &top.text_buffer);
-          pos_ = end + 3;
-          continue;
-        }
-        if (Peek("<?")) {
-          size_t end = text_.find("?>", pos_ + 2);
-          if (end == std::string_view::npos) {
-            return Result<VertexId>(Error("unterminated PI"));
-          }
-          pos_ = end + 2;
-          continue;
-        }
-        if (text_[pos_] == '<') {
-          flush_text(top);
-          at_child_start = true;
-          continue;
-        }
-        if (text_[pos_] == '&') {
-          XIC_ASSIGN_OR_RETURN(std::string expanded, ParseReference());
-          top.text_buffer += expanded;
-          continue;
-        }
-        if (text_[pos_] == ']' && Peek("]]>")) {
-          // XML 1.0 section 2.4: "]]>" must not appear in content except
-          // as the end of a CDATA section.
-          return Result<VertexId>(Error("']]>' not allowed in content"));
-        }
-        if (text_[pos_] == '\r') {
-          // Section 2.11 line-end normalization: \r\n and bare \r both
-          // become a single \n.
-          top.text_buffer += '\n';
-          ++pos_;
-          if (pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
-          continue;
-        }
-        // Copy the whole plain-text run at once instead of byte-at-a-time.
-        size_t run_end = pos_;
-        while (run_end < text_.size() && text_[run_end] != '<' &&
-               text_[run_end] != '&' && text_[run_end] != ']' &&
-               text_[run_end] != '\r') {
-          ++run_end;
-        }
-        if (run_end == pos_) {
-          top.text_buffer += text_[pos_++];  // lone ']' not starting "]]>"
-        } else {
-          top.text_buffer.append(text_.data() + pos_, run_end - pos_);
-          pos_ = run_end;
-        }
-      }
-    }
-  }
-
-  // Appends CDATA content with line ends normalized (Section 2.11).
-  static void AppendNormalized(std::string_view raw, std::string* out) {
-    for (size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i] == '\r') {
-        out->push_back('\n');
-        if (i + 1 < raw.size() && raw[i + 1] == '\n') ++i;
-      } else {
-        out->push_back(raw[i]);
-      }
-    }
-  }
-
-  // Returns the normalized attribute value as a view: directly into the
-  // input buffer when the raw value needs no entity expansion or
-  // whitespace normalization (the common case -- zero-copy), else into
-  // value_buffer_ (reused across attributes; consume before the next
-  // ParseQuoted call).
-  Result<std::string_view> ParseQuoted() {
-    if (pos_ >= text_.size() || (text_[pos_] != '"' && text_[pos_] != '\'')) {
-      return Result<std::string_view>(Error("expected quoted value"));
-    }
-    char quote = text_[pos_++];
-    size_t start = pos_;
-    // Fast scan: a value without '&', '<' and literal whitespace controls
-    // is already in normalized form.
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == quote || c == '&' || c == '<' || c == '\t' || c == '\n' ||
-          c == '\r') {
+        open.push_back(v);
         break;
       }
-      ++pos_;
-    }
-    if (pos_ < text_.size() && text_[pos_] == quote) {
-      std::string_view out = text_.substr(start, pos_ - start);
-      ++pos_;
-      return out;
-    }
-    // Slow path: normalization or expansion needed.
-    value_buffer_.assign(text_.substr(start, pos_ - start));
-    std::string& out = value_buffer_;
-    while (pos_ < text_.size() && text_[pos_] != quote) {
-      if (text_[pos_] == '&') {
-        // Characters that come in via references escape normalization
-        // (Section 3.3.3), so &#10; stays a literal newline.
-        XIC_ASSIGN_OR_RETURN(std::string expanded, ParseReference());
-        out += expanded;
-      } else if (text_[pos_] == '<') {
-        return Result<std::string_view>(
-            Error("'<' not allowed in attribute value"));
-      } else if (text_[pos_] == '\t' || text_[pos_] == '\n') {
-        // Attribute-value normalization (Section 3.3.3): literal
-        // whitespace becomes a space.
-        out += ' ';
-        ++pos_;
-      } else if (text_[pos_] == '\r') {
-        // \r\n is one line end (Section 2.11), hence one space.
-        out += ' ';
-        ++pos_;
-        if (pos_ < text_.size() && text_[pos_] == '\n') ++pos_;
-      } else {
-        out += text_[pos_++];
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return Result<std::string_view>(Error("unterminated attribute value"));
-    }
-    ++pos_;
-    return std::string_view(out);
-  }
-
-  Result<std::string> ParseReference() {
-    Result<std::string> expanded = ParseReferenceInner();
-    if (expanded.ok()) {
-      // Charge every expanded byte against the shared budget; a document
-      // that is mostly references (an expansion bomb) hits this long
-      // before it exhausts memory.
-      expanded_bytes_ += expanded.value().size();
-      XIC_RETURN_IF_ERROR(
-          CheckLimit(expanded_bytes_, options_.limits.max_expansion_bytes,
-                     "max_expansion_bytes", "reference expansion output"));
-    }
-    return expanded;
-  }
-
-  Result<std::string> ParseReferenceInner() {
-    size_t end = text_.find(';', pos_);
-    if (end == std::string_view::npos || end - pos_ > 12) {
-      return Result<std::string>(Error("malformed entity reference"));
-    }
-    std::string_view ref = text_.substr(pos_ + 1, end - pos_ - 1);
-    pos_ = end + 1;
-    Result<std::string> expanded = ExpandXmlEntity(ref);
-    if (!expanded.ok()) {
-      return Result<std::string>(Error(expanded.status().message()));
-    }
-    return expanded;
-  }
-
-  // Tokenizes a raw attribute string into the paper's set-of-values form,
-  // consulting the effective DTD for set-valuedness.
-  AttrValue MakeAttrValue(std::string_view element, std::string_view attr,
-                          std::string_view raw) {
-    const DtdStructure* dtd =
-        doc_.dtd.has_value() ? &*doc_.dtd : options_.dtd;
-    return TokenizeAttrValue(
-        raw, dtd != nullptr && dtd->IsSetValued(element, attr));
-  }
-
-  Result<std::string_view> ParseName() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && IsNameStartChar(text_[pos_])) {
-      ++pos_;
-      while (pos_ < text_.size() && IsNameChar(text_[pos_])) ++pos_;
-      return text_.substr(start, pos_ - start);
-    }
-    return Result<std::string_view>(Error("expected name"));
-  }
-
-  bool Peek(std::string_view token) const {
-    return text_.substr(pos_, token.size()) == token;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && IsXmlSpace(text_[pos_])) {
-      ++pos_;
+      case StreamEventKind::kEndElement:
+        open.pop_back();
+        break;
+      case StreamEventKind::kText:  // joined above
+        break;
+      case StreamEventKind::kEndDocument:
+        return doc;
     }
   }
-
-  // True when pos_ sits on a PI whose target is the reserved name "xml"
-  // (case-insensitive, exactly) -- i.e. an XML declaration. "<?xml-..."
-  // and "<?xmlfoo..." are ordinary processing instructions.
-  bool PeekXmlDecl() const {
-    if (!Peek("<?")) return false;
-    size_t t = pos_ + 2;
-    size_t n = 0;
-    while (t + n < text_.size() && IsNameChar(text_[t + n])) ++n;
-    if (n != 3) return false;
-    return (text_[t] == 'x' || text_[t] == 'X') &&
-           (text_[t + 1] == 'm' || text_[t + 1] == 'M') &&
-           (text_[t + 2] == 'l' || text_[t + 2] == 'L');
-  }
-
-  // Skips whitespace, comments and processing instructions.
-  void SkipMisc() {
-    while (true) {
-      SkipSpace();
-      if (Peek("<!--")) {
-        size_t end = text_.find("-->", pos_ + 4);
-        if (end == std::string_view::npos) {
-          pos_ = text_.size();
-          return;
-        }
-        pos_ = end + 3;
-      } else if (Peek("<?") && !PeekXmlDecl()) {
-        size_t end = text_.find("?>", pos_ + 2);
-        if (end == std::string_view::npos) {
-          pos_ = text_.size();
-          return;
-        }
-        pos_ = end + 2;
-      } else {
-        return;
-      }
-    }
-  }
-
-  Status Error(const std::string& what) const {
-    // Report 1-based line/column for the current offset.
-    size_t line = 1, col = 1;
-    for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    return Status::ParseError("XML: " + what + " at line " +
-                              std::to_string(line) + ", column " +
-                              std::to_string(col));
-  }
-
-  std::string_view text_;
-  const XmlParseOptions& options_;
-  size_t pos_ = 0;
-  size_t expanded_bytes_ = 0;   // reference-expansion output so far
-  std::string value_buffer_;    // slow-path attribute value assembly
-  XmlDocument doc_;
-};
+}
 
 }  // namespace
 
@@ -580,7 +172,7 @@ Result<XmlDocument> ParseXml(const std::string& text,
   XIC_COUNTER_ADD("xml.parse.bytes", text.size());
   XIC_HISTOGRAM_OBSERVE("xml.parse.bytes_per_doc", text.size(),
                         {1024.0, 16384.0, 262144.0, 4194304.0});
-  Result<XmlDocument> result = XmlParser(text, options).Parse();
+  Result<XmlDocument> result = BuildDocument(text, options);
   if (result.ok()) {
     span.AddInt("vertices",
                 static_cast<int64_t>(result.value().tree.size()));

@@ -1,11 +1,15 @@
 // XML document parser producing data trees (Definition 2.1).
 //
-// Supports the subset of XML 1.0 needed for the paper's model: prolog,
-// DOCTYPE with an internal DTD subset, elements, attributes, character
-// data, comments, CDATA sections, character and predefined entity
-// references. Namespaces, processing instructions inside content, and
-// parameter entities are outside the scope (processing instructions are
-// skipped; parameter entities are rejected).
+// ParseXml builds a DataTree from the events of xml/stream_tokenizer.h,
+// which holds xic's one XML grammar: the subset of XML 1.0 needed for
+// the paper's model (prolog, DOCTYPE with an internal DTD subset,
+// elements, attributes, character data, comments, CDATA sections,
+// character and predefined entity references). Namespaces and parameter
+// entities are outside the scope; processing instructions are skipped.
+// The input string is read in place. The builder makes a vertex per
+// start tag and one text child per run of character data (a run the
+// tokenizer delivers in several chunks is joined), and parses the
+// DOCTYPE's internal subset into the document's DTD.
 //
 // XML attribute values are strings; the paper's att() maps to *sets* of
 // atomic values. When a DtdStructure is supplied, values of set-valued
@@ -56,15 +60,14 @@ Result<XmlDocument> ParseXml(const std::string& text,
 
 /// Tokenizes a normalized attribute value into the paper's set-of-values
 /// form: split on XML S whitespace when `set_valued` (IDREFS / NMTOKENS),
-/// else a singleton containing `raw` verbatim. Shared by the DOM parser
-/// and the streaming validator so extents agree byte-for-byte.
+/// else a singleton containing `raw` verbatim. The DOM parser uses it and
+/// the streaming validator follows the same split, so extents agree
+/// byte-for-byte.
 AttrValue TokenizeAttrValue(std::string_view raw, bool set_valued);
 
 /// Decodes one entity/character reference (the text between '&' and ';')
-/// to its UTF-8 expansion. Shared by the DOM parser and the streaming
-/// tokenizer so both accept exactly the same references with the same
-/// error texts (the returned ParseError carries the bare description; the
-/// caller adds line/column).
+/// to its UTF-8 expansion, for the tokenizer. The returned ParseError
+/// carries the bare description; the caller adds line/column.
 Result<std::string> ExpandXmlEntity(std::string_view ref);
 
 }  // namespace xic

@@ -5,8 +5,10 @@
 // streams generated catalogs of 10k and 100k elements -- keys, a foreign
 // key and a set-valued foreign key, long element names, entity
 // references in attribute values and comments in content -- first
-// through StreamTokenizer alone, then through StreamValidator::Run. The
-// larger document may cost only a few more buffer doublings.
+// through StreamTokenizer alone, then through StreamValidator::Run, each
+// both read in place (StringSource) and through the tokenizer's sliding
+// window (ChunkedSource, the path files and sockets take). The larger
+// document may cost only a few more buffer doublings.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <string>
 
 #include "engine/stream_validator.h"
+#include "fuzzing/chunked_source.h"
 #include "xml/dtdc_io.h"
 #include "xml/stream_tokenizer.h"
 
@@ -85,11 +88,24 @@ std::string Catalog(size_t elements) {
   return doc;
 }
 
-// Allocations made by one tokenizer pass over `doc`; sets *elements.
-size_t TokenizerAllocations(const std::string& doc, size_t* elements) {
-  size_t before = g_allocations.load();
-  {
+// Calls f(source) with `doc` read in place or, when `windowed`, served
+// in reads that do not line up with the window.
+template <typename F>
+void WithSource(const std::string& doc, bool windowed, F&& f) {
+  if (windowed) {
+    ChunkedSource source(doc, 1000);
+    f(source);
+  } else {
     StringSource source(doc);
+    f(source);
+  }
+}
+
+// Allocations made by one tokenizer pass over `doc`; sets *elements.
+size_t TokenizerAllocations(const std::string& doc, bool windowed,
+                            size_t* elements) {
+  size_t before = g_allocations.load();
+  WithSource(doc, windowed, [&](ByteSource& source) {
     StreamTokenizer tok(source);
     StreamEvent ev;
     *elements = 0;
@@ -102,35 +118,41 @@ size_t TokenizerAllocations(const std::string& doc, size_t* elements) {
       if (ev.kind == StreamEventKind::kStartElement) ++*elements;
       if (ev.kind == StreamEventKind::kEndDocument) break;
     }
-  }
+  });
   return g_allocations.load() - before;
 }
 
 // Allocations made by one validation run (the plan compiled beforehand).
 size_t ValidatorAllocations(const StreamValidator& validator,
-                            const std::string& doc, size_t* vertices) {
+                            const std::string& doc, bool windowed,
+                            size_t* vertices) {
   size_t before = g_allocations.load();
-  {
-    StringSource source(doc);
+  WithSource(doc, windowed, [&](ByteSource& source) {
     StreamOutcome out = validator.Run(source);
     EXPECT_TRUE(out.ok()) << out.parse << out.structure.ToString();
     EXPECT_GT(out.stats.extent_records, 0u);
     *vertices = out.stats.vertices;
-  }
+  });
   return g_allocations.load() - before;
 }
 
 TEST(StreamAlloc, TokenizerAllocationsDoNotGrowWithElements) {
   const std::string small = Catalog(10000);
   const std::string large = Catalog(100000);
-  size_t small_elements = 0, large_elements = 0;
-  const size_t small_allocs = TokenizerAllocations(small, &small_elements);
-  const size_t large_allocs = TokenizerAllocations(large, &large_elements);
-  ASSERT_GE(small_elements, 10000u);
-  ASSERT_GE(large_elements, 100000u);
-  EXPECT_LE(large_allocs, small_allocs + kMaxExtraAllocations)
-      << small_elements << " elements: " << small_allocs << " allocations; "
-      << large_elements << " elements: " << large_allocs;
+  for (bool windowed : {false, true}) {
+    SCOPED_TRACE(windowed ? "windowed" : "in place");
+    size_t small_elements = 0, large_elements = 0;
+    const size_t small_allocs =
+        TokenizerAllocations(small, windowed, &small_elements);
+    const size_t large_allocs =
+        TokenizerAllocations(large, windowed, &large_elements);
+    ASSERT_GE(small_elements, 10000u);
+    ASSERT_GE(large_elements, 100000u);
+    EXPECT_LE(large_allocs, small_allocs + kMaxExtraAllocations)
+        << small_elements << " elements: " << small_allocs
+        << " allocations; " << large_elements
+        << " elements: " << large_allocs;
+  }
 }
 
 TEST(StreamAlloc, ValidatorAllocationsDoNotGrowWithElements) {
@@ -142,16 +164,20 @@ TEST(StreamAlloc, ValidatorAllocationsDoNotGrowWithElements) {
 
   const std::string small = Catalog(10000);
   const std::string large = Catalog(100000);
-  size_t small_vertices = 0, large_vertices = 0;
-  const size_t small_allocs =
-      ValidatorAllocations(validator, small, &small_vertices);
-  const size_t large_allocs =
-      ValidatorAllocations(validator, large, &large_vertices);
-  ASSERT_GE(small_vertices, 10000u);
-  ASSERT_GE(large_vertices, 100000u);
-  EXPECT_LE(large_allocs, small_allocs + kMaxExtraAllocations)
-      << small_vertices << " vertices: " << small_allocs << " allocations; "
-      << large_vertices << " vertices: " << large_allocs;
+  for (bool windowed : {false, true}) {
+    SCOPED_TRACE(windowed ? "windowed" : "in place");
+    size_t small_vertices = 0, large_vertices = 0;
+    const size_t small_allocs =
+        ValidatorAllocations(validator, small, windowed, &small_vertices);
+    const size_t large_allocs =
+        ValidatorAllocations(validator, large, windowed, &large_vertices);
+    ASSERT_GE(small_vertices, 10000u);
+    ASSERT_GE(large_vertices, 100000u);
+    EXPECT_LE(large_allocs, small_allocs + kMaxExtraAllocations)
+        << small_vertices << " vertices: " << small_allocs
+        << " allocations; " << large_vertices
+        << " vertices: " << large_allocs;
+  }
 }
 
 }  // namespace

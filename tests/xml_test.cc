@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "model/structural_validator.h"
 #include "xml/dtd_parser.h"
 #include "xml/serializer.h"
+#include "xml/stream_tokenizer.h"
 #include "xml/xml_parser.h"
 
 namespace xic {
@@ -195,6 +200,100 @@ TEST(XmlParser, RawLessThanInAttributeValueRejected) {
   // Well-formedness: '<' cannot appear literally in an attribute value.
   EXPECT_FALSE(ParseXml("<a x=\"1<2\"/>").ok());
   EXPECT_TRUE(ParseXml("<a x=\"1&lt;2\"/>").ok());
+}
+
+// -- The DataTree builder over the tokenizer's kText chunks ---------------
+
+// ParseXml reads with the tokenizer's default chunk size; every run below
+// is several chunks long.
+constexpr size_t kChunkBytes = StreamTokenizerOptions{}.chunk_bytes;
+
+// Asserts the root's children: text children equal to the strings in
+// `want`, element children given as "<label>". Mismatches report sizes
+// (gtest's diff of megabyte strings takes minutes).
+void ExpectRootChildren(const DataTree& t,
+                        const std::vector<std::string>& want) {
+  const std::vector<Child>& children = t.children(t.root());
+  ASSERT_EQ(children.size(), want.size());
+  for (size_t i = 0; i < children.size(); ++i) {
+    const std::string* text = std::get_if<std::string>(&children[i]);
+    const std::string got =
+        text != nullptr ? *text
+                        : "<" + t.label(std::get<VertexId>(children[i])) + ">";
+    EXPECT_TRUE(got == want[i]) << "child " << i << ": " << got.size()
+                                << " bytes, want " << want[i].size();
+  }
+}
+
+// Character data that a reference and \r\n line ends break into pieces
+// the tokenizer copies and flushes a chunk at a time: raw and parsed.
+void ChunkedText(std::string* raw, std::string* parsed) {
+  while (parsed->size() < 3 * kChunkBytes) {
+    *raw += "abc&amp;def\r\n";
+    *parsed += "abc&def\n";
+  }
+}
+
+TEST(XmlBuilder, TextRunLongerThanAChunkIsOneTextNode) {
+  // A plain run, then one the tokenizer delivers in several chunks.
+  std::string plain(3 * kChunkBytes + 17, 'p');
+  std::string mixed_raw, mixed;
+  ChunkedText(&mixed_raw, &mixed);
+  Result<XmlDocument> doc = ParseXml("<r>" + plain + "<e/>" + mixed_raw +
+                                     "</r>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  ExpectRootChildren(doc.value().tree, {plain, "<e>", mixed});
+}
+
+TEST(XmlBuilder, CdataLongerThanAChunkIsOneTextNode) {
+  std::string body_raw, body;
+  while (body.size() < 3 * kChunkBytes) {
+    body_raw += "x<&]y\r\nz\r";
+    body += "x<&]y\nz\n";
+  }
+  // A section alone, and one inside a run whose text on either side
+  // arrives in chunks of its own.
+  std::string before_raw, before;
+  ChunkedText(&before_raw, &before);
+  Result<XmlDocument> doc =
+      ParseXml("<r><![CDATA[" + body_raw + "]]><e/>" + before_raw +
+               "<![CDATA[" + body_raw + "]]>after</r>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  ExpectRootChildren(doc.value().tree,
+                     {body, "<e>", before + body + "after"});
+}
+
+TEST(XmlBuilder, WhitespaceRunAcrossChunks) {
+  // Layout whitespace with line ends and a character reference, so the
+  // run reaches the builder as several chunks, each all-space.
+  std::string raw, normalized;
+  while (normalized.size() < 3 * kChunkBytes) {
+    raw += " \t\r\n&#32;";
+    normalized += " \t\n ";
+  }
+  const std::string text = "<r>" + raw + "<e/>" + raw + "</r>";
+  XmlParseOptions skip;
+  Result<XmlDocument> dropped = ParseXml(text, skip);
+  ASSERT_TRUE(dropped.ok()) << dropped.status();
+  ExpectRootChildren(dropped.value().tree, {"<e>"});
+
+  XmlParseOptions keep;
+  keep.skip_ignorable_whitespace = false;
+  Result<XmlDocument> kept = ParseXml(text, keep);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  ExpectRootChildren(kept.value().tree, {normalized, "<e>", normalized});
+}
+
+TEST(XmlBuilder, MalformedInternalSubsetReportsTheDtdError) {
+  // The DOCTYPE is also missing its '>': the DTD error comes first.
+  Result<XmlDocument> doc =
+      ParseXml("<!DOCTYPE r [<!ELEMENT r (e>]\n<r/>");
+  ASSERT_FALSE(doc.ok());
+  Result<DtdStructure> dtd = ParseDtd("<!ELEMENT r (e>", "r");
+  ASSERT_FALSE(dtd.ok());
+  EXPECT_EQ(doc.status().ToString(), dtd.status().ToString());
+  EXPECT_EQ(doc.status().ToString().find("closing DOCTYPE"),
+            std::string::npos);
 }
 
 TEST(DtdParser, ParsesPersonDeptDtd) {
