@@ -164,10 +164,13 @@ class Dispatcher {
   /// returns the plan. Exposed for benches and tests that want to warm
   /// the cache without a request. `timing`, when given, accumulates the
   /// compile phase (cache hits add ~nothing) and the fault flag.
+  /// `overrides` bound the read of the DOCTYPE shell: its limits
+  /// (default: the dispatcher's) and its document_timeout_ms.
   Result<PlanPtr> CompileIntoCache(const std::string& schema_text,
                                    const std::string& fault_key,
                                    bool* cache_hit = nullptr,
-                                   RequestTiming* timing = nullptr);
+                                   RequestTiming* timing = nullptr,
+                                   const RunOverrides& overrides = {});
 
  private:
   Response HandleOnce(const Request& request, const std::string& id,

@@ -65,15 +65,6 @@ std::string_view StripWhitespace(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) ||
-         std::isdigit(static_cast<unsigned char>(c)) || c == '-' || c == '.';
-}
-
 bool IsXmlName(std::string_view name) {
   if (name.empty() || !IsNameStartChar(name[0])) return false;
   for (char c : name.substr(1)) {

@@ -45,12 +45,19 @@ void ForEachXmlSpaceToken(std::string_view text, F&& f) {
 }
 
 /// True for XML NameStartChar restricted to the ASCII subset we support
-/// (letters, '_', ':').
-bool IsNameStartChar(char c);
+/// (letters, '_', ':'). ASCII by construction, so the answer never shifts
+/// with the C locale the way std::isalpha's can.
+constexpr bool IsNameStartChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         c == ':';
+}
 
 /// True for XML NameChar restricted to ASCII (NameStartChar, digits, '-',
 /// '.').
-bool IsNameChar(char c);
+constexpr bool IsNameChar(char c) {
+  return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' ||
+         c == '.';
+}
 
 /// True if `name` is a well-formed (ASCII-subset) XML name.
 bool IsXmlName(std::string_view name);

@@ -548,6 +548,34 @@ TEST(DispatcherTest, DoctypeExtractionHonorsQuotesAndTermination) {
   EXPECT_EQ(dispatcher.cache().stats().compile_failures, 0u);
 }
 
+// Without a DOCTYPE the shell reader parses the root start tag before it
+// can tell, so that read is bounded like any other: a root tag with 100k
+// attributes stops at max_attributes_per_element, not after a quadratic
+// duplicate-name scan.
+TEST(DispatcherTest, DoctypeShellReadIsBoundedByLimits) {
+  std::string body = "<bib";
+  for (int i = 0; i < 100000; ++i) body += " a" + std::to_string(i) + "=''";
+  body += "/>";
+  Dispatcher dispatcher(FastOptions());
+  for (const char* verb : {"schema.put", "validate", "validate.stream"}) {
+    const auto start = std::chrono::steady_clock::now();
+    Response response = dispatcher.Handle(MakeRequest(verb, body));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted)
+        << verb << ": " << response.status.ToString();
+    EXPECT_NE(response.status.message().find("max_attributes_per_element"),
+              std::string::npos)
+        << response.status.ToString();
+    EXPECT_LT(elapsed, std::chrono::seconds(2)) << verb;
+  }
+  // A small DOCTYPE-less body still gets the usual answer.
+  Response plain = dispatcher.Handle(MakeRequest("validate", "<bib a='1'/>"));
+  EXPECT_EQ(plain.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plain.status.message().find("document has no DOCTYPE"),
+            std::string::npos)
+      << plain.status.ToString();
+}
+
 TEST(DispatcherTest, ImplyIsMemoized) {
   Dispatcher dispatcher(FastOptions());
   Request imply = MakeRequest(
@@ -864,7 +892,7 @@ TEST(DispatcherTest, FlightRecorderDisabledKeepsVerbsAlive) {
   DispatcherOptions options = FastOptions();
   options.flight_recorder.capacity = 0;
   Dispatcher dispatcher(options);
-  dispatcher.Handle(MakeRequest("ping", ""));
+  ASSERT_TRUE(dispatcher.Handle(MakeRequest("ping", "")).status.ok());
   Response debugz = dispatcher.Handle(MakeRequest("debugz", ""));
   ASSERT_TRUE(debugz.status.ok());
   EXPECT_EQ(debugz.body,
