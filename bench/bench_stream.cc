@@ -14,7 +14,7 @@
 //
 // Document sizes are capped at 64 MiB here so the full bench suite
 // stays CI-sized; the 1 GiB / RSS-ceiling acceptance run lives in CI's
-// stream-smoke step (xicheck --stream on a generated file), and the
+// stream-smoke step (plain xicheck on a generated file), and the
 // README records an RSS-vs-size table measured the same way.
 
 #include <benchmark/benchmark.h>

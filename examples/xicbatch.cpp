@@ -6,7 +6,10 @@
 //
 // Options: --threads N, --max-depth N, --max-bytes N, --timeout-ms N
 // (per-document wall-clock budget), --retries N (extra attempts for
-// transient failures). Builds configured with -DXIC_FAULT_INJECTION=ON
+// transient failures), --spill-mb N (extent-log budget per document
+// before spilling). Every document streams through one pass
+// (engine/stream_validator.h); --stream is accepted for compatibility
+// and changes nothing. Builds configured with -DXIC_FAULT_INJECTION=ON
 // additionally accept --fault-rate P and --fault-seed S (deterministic
 // fault injection; see util/fault_injector.h).
 //
@@ -23,7 +26,9 @@
 // resource limit, deadline, injected fault or exception -- "could not
 // check" rather than "invalid").
 
+#include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -98,9 +103,9 @@ int Usage() {
          "  --max-bytes N   per-document size limit (0 = unlimited)\n"
          "  --timeout-ms N  per-document wall-clock budget (0 = none)\n"
          "  --retries N     extra attempts for transient failures\n"
-         "  --stream        bounded-memory streaming pipeline per document\n"
-         "  --spill-mb N    extent-log budget before spilling (MiB, with "
-         "--stream)\n"
+         "  --stream        accepted for compatibility (always streams)\n"
+         "  --spill-mb N    extent-log budget per document before spilling "
+         "(MiB)\n"
          "  --json FILE     write the batch report as JSON\n"
          "  --trace-out FILE    write a Chrome/Perfetto trace of the run\n"
          "  --metrics-out FILE  write the metrics registry as JSON\n"
@@ -114,7 +119,10 @@ int Usage() {
   return 2;
 }
 
+// A decimal number: strtoul alone would accept a sign and wrap "-1" to
+// ULONG_MAX.
 bool ParseCount(const char* text, unsigned long* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
   char* end = nullptr;
   errno = 0;
   unsigned long value = std::strtoul(text, &end, 10);
@@ -171,10 +179,14 @@ int main(int argc, char** argv) {
       }
       options.max_attempts = count + 1;
     } else if (arg == "--stream") {
-      options.stream = true;
+      // Accepted for compatibility: streaming is the only pipeline.
     } else if (arg == "--spill-mb" && i + 1 < argc) {
       if (!ParseCount(argv[++i], &count)) {
         std::cerr << "--spill-mb: not a number: " << argv[i] << "\n";
+        return Usage();
+      }
+      if (count > (SIZE_MAX >> 20)) {
+        std::cerr << "--spill-mb: too large: " << argv[i] << "\n";
         return Usage();
       }
       options.stream_spill_budget_bytes = static_cast<size_t>(count) << 20;

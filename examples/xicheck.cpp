@@ -7,19 +7,29 @@
 //
 // Options: --max-depth N and --max-bytes N bound the input document
 // (0 = unlimited); --timeout-ms N bounds the wall-clock time spent on
-// each document.
+// each document; --spill-mb N is the extent-log budget before field
+// tuples spill to disk (0 = never spill). --stream is accepted for
+// compatibility and changes nothing: every document streams.
 //
 // A "self-describing" document carries its DTD in the DOCTYPE internal
 // subset and (optionally) its constraint set in an embedded
 // "<!-- xic:constraints ... -->" block (see xml/dtdc_io.h). xicheck
-// reports structural validity (Definition 2.4), constraint satisfaction
-// (G |= Sigma) and, with --repair, the edits needed to restore
-// consistency. Exit code: 0 valid, 1 invalid, 2 usage/parse/limit error.
+// reports structural validity (Definition 2.4) and constraint
+// satisfaction (G |= Sigma) in one streaming pass
+// (engine/stream_validator.h), so peak memory is bounded by the spill
+// budget, not the document size. With --repair, a document with
+// constraint violations is then parsed into a tree and the edits needed
+// to restore consistency are printed. Exit code: 0 valid, 1 invalid,
+// 2 usage/parse/limit error.
 
+#include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "obs_cli.h"
@@ -55,18 +65,63 @@ const char* kDemo = R"(<?xml version="1.0"?>
 
 struct CheckConfig {
   bool repair = false;
-  bool stream = false;       // bounded-memory streaming pipeline
   size_t spill_mb = 64;      // extent-log budget before spilling (MiB)
   ResourceLimits limits;
   uint64_t timeout_ms = 0;  // 0 = no deadline
 };
 
-// Streaming twin of CheckOne: same output bytes, same exit codes, but
-// the document never materializes -- peak memory is bounded by the
-// spill budget, not the document size. (--repair needs the tree and is
-// rejected up front in main.)
-int StreamCheckOne(const std::string& name, ByteSource& source,
-                   const CheckConfig& config) {
+std::optional<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// The repair step, the one place xicheck builds a tree: parse `text`,
+// compute the repair and print it. Returns the exit code.
+int Repair(const std::string& name, const std::string& text,
+           const CheckConfig& config, const Deadline& deadline) {
+  XmlParseOptions parse_options;
+  parse_options.limits = config.limits;
+  parse_options.deadline = deadline;
+  Result<SelfDescribingDocument> parsed =
+      ParseDocumentWithDtdC(text, parse_options);
+  if (!parsed.ok()) {
+    std::cerr << name << ": " << parsed.status() << "\n";
+    return 2;
+  }
+  SelfDescribingDocument& doc = parsed.value();
+  if (!doc.document.dtd.has_value() || !doc.sigma.has_value()) {
+    std::cerr << name << ": changed while it was being checked\n";
+    return 2;
+  }
+  const DtdStructure& dtd = *doc.document.dtd;
+  const ConstraintSet& sigma = *doc.sigma;
+  Result<RepairReport> repaired =
+      RepairDocument(&doc.document.tree, dtd, sigma);
+  if (!repaired.ok()) {
+    std::cerr << name << ": repair failed: " << repaired.status() << "\n";
+    return 2;
+  }
+  for (const std::string& action : repaired.value().actions) {
+    std::cout << "  repair: " << action << "\n";
+  }
+  if (repaired.value().fully_repaired()) {
+    std::cout << name << ": repaired document:\n"
+              << WriteDocumentWithDtdC(doc.document.tree, dtd, sigma);
+    return 0;
+  }
+  std::cout << name << ": not fully repairable:\n"
+            << repaired.value().remaining.ToString(sigma);
+  return 1;
+}
+
+// Validates one document streamed from `source`. `read_text` reads the
+// whole document back for the repair step, which needs the tree.
+int ValidateOne(
+    const std::string& name, ByteSource& source, const CheckConfig& config,
+    const std::function<std::optional<std::string>()>& read_text) {
   StreamOptions options;
   options.validation.allow_missing_attributes = true;
   options.limits = config.limits;
@@ -110,96 +165,21 @@ int StreamCheckOne(const std::string& name, ByteSource& source,
   }
   std::cout << name << ": " << sigma.constraints.size() << " constraints, "
             << r.outcome.constraints.violations.size() << " violation(s)\n";
-  if (!r.outcome.constraints.ok()) {
-    std::cout << r.outcome.constraints.ToString(sigma);
-    exit_code = 1;
+  if (r.outcome.constraints.ok()) return exit_code;
+  std::cout << r.outcome.constraints.ToString(sigma);
+  if (!config.repair) return 1;
+  std::optional<std::string> text = read_text();
+  if (!text.has_value()) {
+    std::cerr << name << ": cannot open\n";
+    return 2;
   }
-  return exit_code;
+  return Repair(name, *text, config, options.deadline);
 }
 
-int CheckOne(const std::string& name, const std::string& text,
-             const CheckConfig& config) {
-  bool repair = config.repair;
-  Deadline deadline = config.timeout_ms == 0
-                          ? Deadline::Infinite()
-                          : Deadline::AfterMillis(config.timeout_ms);
-  XmlParseOptions parse_options;
-  parse_options.limits = config.limits;
-  parse_options.deadline = deadline;
-  Result<SelfDescribingDocument> parsed =
-      ParseDocumentWithDtdC(text, parse_options);
-  if (!parsed.ok()) {
-    std::cerr << name << ": " << parsed.status() << "\n";
-    return 2;
-  }
-  SelfDescribingDocument& doc = parsed.value();
-  if (!doc.document.dtd.has_value()) {
-    std::cerr << name << ": no DTD in the DOCTYPE; nothing to check\n";
-    return 2;
-  }
-  const DtdStructure& dtd = *doc.document.dtd;
-  int exit_code = 0;
-
-  ValidationOptions validation;
-  validation.allow_missing_attributes = true;
-  validation.limits = config.limits;
-  StructuralValidator validator(dtd, validation);
-  ValidationReport structure = validator.Validate(doc.document.tree, deadline);
-  if (!structure.status.ok()) {
-    std::cerr << name << ": " << structure.status << "\n";
-    return 2;
-  }
-  std::cout << name << ": structure "
-            << (structure.ok() ? "valid" : "INVALID") << "\n";
-  if (!structure.ok()) {
-    std::cout << structure.ToString();
-    exit_code = 1;
-  }
-
-  if (!doc.sigma.has_value()) {
-    std::cout << name << ": no embedded constraints\n";
-    return exit_code;
-  }
-  const ConstraintSet& sigma = *doc.sigma;
-  if (Status wf = CheckWellFormed(sigma, dtd); !wf.ok()) {
-    std::cerr << name << ": constraint block ill-formed: " << wf << "\n";
-    return 2;
-  }
-  ConstraintChecker checker(dtd, sigma);
-  ConstraintReport report = checker.Check(doc.document.tree, deadline);
-  if (!report.status.ok()) {
-    std::cerr << name << ": " << report.status << "\n";
-    return 2;
-  }
-  std::cout << name << ": " << sigma.constraints.size() << " constraints, "
-            << report.violations.size() << " violation(s)\n";
-  if (!report.ok()) {
-    std::cout << report.ToString(sigma);
-    exit_code = 1;
-    if (repair) {
-      Result<RepairReport> repaired =
-          RepairDocument(&doc.document.tree, dtd, sigma);
-      if (!repaired.ok()) {
-        std::cerr << name << ": repair failed: " << repaired.status() << "\n";
-        return 2;
-      }
-      for (const std::string& action : repaired.value().actions) {
-        std::cout << "  repair: " << action << "\n";
-      }
-      if (repaired.value().fully_repaired()) {
-        std::cout << name << ": repaired document:\n"
-                  << WriteDocumentWithDtdC(doc.document.tree, dtd, sigma);
-        exit_code = 0;
-      } else {
-        std::cout << name << ": not fully repairable:\n"
-                  << repaired.value().remaining.ToString(sigma);
-      }
-    }
-  }
-  return exit_code;
-}
-
+// A decimal number: strtoul alone would accept a sign and wrap "-1" to
+// ULONG_MAX.
 bool ParseNumber(const char* text, unsigned long* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
   char* end = nullptr;
   errno = 0;
   unsigned long value = std::strtoul(text, &end, 10);
@@ -223,10 +203,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--repair") {
       config.repair = true;
     } else if (arg == "--stream") {
-      config.stream = true;
+      // Accepted for compatibility: streaming is the only pipeline.
     } else if (arg == "--spill-mb" && i + 1 < argc) {
       if (!ParseNumber(argv[++i], &count)) {
         std::cerr << "--spill-mb: not a number: " << argv[i] << "\n";
+        return 2;
+      }
+      if (count > (SIZE_MAX >> 20)) {
+        std::cerr << "--spill-mb: too large: " << argv[i] << "\n";
         return 2;
       }
       config.spill_mb = count;
@@ -261,48 +245,28 @@ int main(int argc, char** argv) {
       files.push_back(std::move(arg));
     }
   }
-  if (config.stream && config.repair) {
-    std::cerr << "--repair needs the materialized tree; it cannot be "
-                 "combined with --stream\n";
-    return 2;
-  }
   ObsCliSession obs_session(obs_options);
   if (files.empty()) {
     std::cout << "(no files given; checking the built-in demo, which has "
                  "one dangling reference)\n";
     CheckConfig demo = config;
-    int code;
-    if (config.stream) {
-      StringSource source(kDemo);
-      code = StreamCheckOne("<demo>", source, demo) == 2 ? 2 : 0;
-    } else {
-      demo.repair = true;
-      code = CheckOne("<demo>", kDemo, demo) == 2 ? 2 : 0;
-    }
+    demo.repair = true;
+    StringSource source(kDemo);
+    auto demo_text = [] { return std::optional<std::string>(kDemo); };
+    int code = ValidateOne("<demo>", source, demo, demo_text) == 2 ? 2 : 0;
     if (!obs_session.Finish()) return 2;
     return code;
   }
   int worst = 0;
   for (const std::string& file : files) {
-    if (config.stream) {
-      Result<FileSource> source = FileSource::Open(file);
-      if (!source.ok()) {
-        std::cerr << file << ": cannot open\n";
-        worst = std::max(worst, 2);
-        continue;
-      }
-      worst = std::max(worst, StreamCheckOne(file, source.value(), config));
-      continue;
-    }
-    std::ifstream in(file);
-    if (!in) {
+    Result<FileSource> source = FileSource::Open(file);
+    if (!source.ok()) {
       std::cerr << file << ": cannot open\n";
       worst = std::max(worst, 2);
       continue;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    worst = std::max(worst, CheckOne(file, buffer.str(), config));
+    worst = std::max(worst, ValidateOne(file, source.value(), config,
+                                     [&] { return ReadFile(file); }));
   }
   if (!obs_session.Finish()) worst = std::max(worst, 2);
   return worst;

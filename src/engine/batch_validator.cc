@@ -7,7 +7,6 @@
 
 #include "engine/thread_pool.h"
 #include "obs/obs.h"
-#include "util/arena.h"
 
 namespace xic {
 
@@ -19,24 +18,14 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-std::string Fmt(const char* format, double a, double b = 0, double c = 0) {
+std::string Fmt(const char* format, double a, double b) {
   char buffer[160];
-  std::snprintf(buffer, sizeof(buffer), format, a, b, c);
+  std::snprintf(buffer, sizeof(buffer), format, a, b);
   return buffer;
 }
 
 // Status codes that mean "the pipeline could not finish", as opposed to a
 // verdict about the document itself.
-// Per-thread scratch arena for the constraint-check stage. Each pool
-// worker (and the inline path's calling thread) reuses one arena across
-// every document it processes, Reset() between documents, so steady-state
-// checking never touches the shared allocator -- the main serialization
-// point behind the flat batch-scaling curve.
-Arena& WorkerArena() {
-  static thread_local Arena arena;
-  return arena;
-}
-
 bool IsInfrastructureStatus(const Status& s) {
   switch (s.code()) {
     case StatusCode::kResourceExhausted:
@@ -76,8 +65,8 @@ std::string BatchStats::ToString() const {
   double docs_per_sec = wall_seconds > 0 ? documents / wall_seconds : 0;
   out += Fmt("wall:  %.3f s (%.1f docs/s) on ", wall_seconds, docs_per_sec) +
          std::to_string(threads) + " thread(s)\n";
-  out += Fmt("stage: parse %.3f s, structure %.3f s, constraints %.3f s\n",
-             parse_seconds, structure_seconds, constraints_seconds);
+  out += Fmt("stage: parse+structure %.3f s, constraints %.3f s\n",
+             parse_seconds, constraints_seconds);
   return out;
 }
 
@@ -258,12 +247,16 @@ std::string BatchReport::ToJson(const ConstraintSet& sigma) const {
 
 namespace {
 
-// The single limits knob wins over whatever the per-stage option structs
-// carried (the CLI and tests set BatchOptions::limits only).
-BatchOptions NormalizeOptions(BatchOptions options) {
-  options.parse.limits = options.limits;
-  options.validation.limits = options.limits;
-  return options;
+StreamOptions StreamOptionsFor(const BatchOptions& options) {
+  StreamOptions stream;
+  stream.validation = options.validation;
+  // The single limits knob wins over whatever `validation` carried (the
+  // CLI and tests set BatchOptions::limits only).
+  stream.validation.limits = options.limits;
+  stream.check = options.check;
+  stream.limits = options.limits;
+  stream.spill_budget_bytes = options.stream_spill_budget_bytes;
+  return stream;
 }
 
 }  // namespace
@@ -271,23 +264,9 @@ BatchOptions NormalizeOptions(BatchOptions options) {
 BatchValidator::BatchValidator(const DtdStructure& dtd,
                                const ConstraintSet& sigma,
                                BatchOptions options)
-    : dtd_(dtd),
-      sigma_(sigma),
-      options_(NormalizeOptions(std::move(options))),
-      validator_(dtd, options_.validation),
-      checker_(dtd, sigma, options_.check),
-      injector_(options_.faults) {
-  options_.parse.dtd = &dtd_;
-  if (options_.stream) {
-    StreamOptions sopt;
-    sopt.skip_ignorable_whitespace = options_.parse.skip_ignorable_whitespace;
-    sopt.validation = options_.validation;
-    sopt.check = options_.check;
-    sopt.limits = options_.limits;
-    sopt.spill_budget_bytes = options_.stream_spill_budget_bytes;
-    streamer_.emplace(dtd_, sigma_, sopt);
-  }
-}
+    : options_(std::move(options)),
+      streamer_(dtd, sigma, StreamOptionsFor(options_)),
+      injector_(options_.faults) {}
 
 Deadline BatchValidator::DocumentDeadline(
     const RunOverrides& overrides) const {
@@ -340,65 +319,28 @@ DocumentOutcome BatchValidator::CheckOneAttempt(
   // injector in throwing mode) throws becomes this document's outcome
   // instead of tearing down the batch.
   try {
-    Deadline deadline = DocumentDeadline(overrides);
-    int n = static_cast<int>(attempt);
-    Clock::time_point t0 = Clock::now();
-    if (Status s = injector_.MaybeFail("parse", doc.name, n); !s.ok()) {
+    Clock::time_point start = Clock::now();
+    if (Status s = injector_.MaybeFail("parse", doc.name,
+                                       static_cast<int>(attempt));
+        !s.ok()) {
       XIC_COUNTER_ADD("engine.batch.faults", 1);
       span.AddString("fault", "parse");
       outcome.error = std::move(s);
       return outcome;
     }
-    XmlParseOptions parse_options = options_.parse;
-    if (overrides.limits.has_value()) {
-      parse_options.limits = *overrides.limits;
-    }
-    parse_options.deadline = deadline;
-    if (streamer_.has_value()) {
-      // Streaming path: the three stages interleave inside one pass, so
-      // the pipeline-stage fault sites collapse onto "parse" and the
-      // whole pass is billed to parse_seconds.
-      StringSource source(doc.text);
-      StreamOutcome so =
-          streamer_->Run(source, deadline, parse_options.limits);
-      outcome.parse = std::move(so.parse);
-      // On a parse failure the materialized path never builds a tree and
-      // reports zero vertices; drop the partial count so the report
-      // bytes match.
-      outcome.vertices = outcome.parse.ok() ? so.stats.vertices : 0;
-      outcome.structure = std::move(so.structure);
-      outcome.constraints = std::move(so.constraints);
-      outcome.parse_seconds = Seconds(t0, Clock::now());
-      return outcome;
-    }
-    Result<XmlDocument> parsed = ParseXml(doc.text, parse_options);
-    Clock::time_point t1 = Clock::now();
-    outcome.parse_seconds = Seconds(t0, t1);
-    if (!parsed.ok()) {
-      outcome.parse = parsed.status();
-      return outcome;
-    }
-    const DataTree& tree = parsed.value().tree;
-    outcome.vertices = tree.size();
-    if (Status s = injector_.MaybeFail("structure", doc.name, n); !s.ok()) {
-      XIC_COUNTER_ADD("engine.batch.faults", 1);
-      span.AddString("fault", "structure");
-      outcome.error = std::move(s);
-      return outcome;
-    }
-    outcome.structure = validator_.Validate(tree, deadline);
-    Clock::time_point t2 = Clock::now();
-    outcome.structure_seconds = Seconds(t1, t2);
-    if (Status s = injector_.MaybeFail("constraints", doc.name, n); !s.ok()) {
-      XIC_COUNTER_ADD("engine.batch.faults", 1);
-      span.AddString("fault", "constraints");
-      outcome.error = std::move(s);
-      return outcome;
-    }
-    Arena& arena = WorkerArena();
-    arena.Reset();
-    outcome.constraints = checker_.Check(tree, deadline, &arena);
-    outcome.constraints_seconds = Seconds(t2, Clock::now());
+    StringSource source(doc.text);
+    StreamOutcome so =
+        streamer_.Run(source, DocumentDeadline(overrides),
+                      overrides.limits.value_or(options_.limits));
+    outcome.parse = std::move(so.parse);
+    // A document that fails to parse never reaches a verdict and reports
+    // zero vertices, not the count the pass had reached.
+    outcome.vertices = outcome.parse.ok() ? so.stats.vertices : 0;
+    outcome.structure = std::move(so.structure);
+    outcome.constraints = std::move(so.constraints);
+    outcome.constraints_seconds = so.stats.assemble_seconds;
+    outcome.parse_seconds =
+        Seconds(start, Clock::now()) - outcome.constraints_seconds;
   } catch (const std::exception& e) {
     outcome.error =
         Status::Internal(std::string("uncaught exception: ") + e.what());
@@ -492,7 +434,6 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
     report.stats.total_violations +=
         o.structure.violations.size() + o.constraints.violations.size();
     report.stats.parse_seconds += o.parse_seconds;
-    report.stats.structure_seconds += o.structure_seconds;
     report.stats.constraints_seconds += o.constraints_seconds;
   }
   XIC_COUNTER_ADD("engine.batch.runs", 1);
@@ -505,89 +446,6 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
     batch_span.AddInt("retries", static_cast<int64_t>(report.stats.retries));
     batch_span.AddInt("violations",
                       static_cast<int64_t>(report.stats.total_violations));
-  }
-  return report;
-}
-
-BatchReport BatchValidator::RunTrees(
-    const std::vector<const DataTree*>& corpus) const {
-  // Reuse Run()'s fan-out by expressing a tree as a pre-parsed document;
-  // the pipeline stages after parse are identical.
-  obs::ScopedSpan batch_span("batch.run_trees", "engine");
-  XIC_COUNTER_ADD("engine.batch.runs", 1);
-  BatchReport report;
-  report.outcomes.resize(corpus.size());
-  Clock::time_point start = Clock::now();
-  size_t threads = options_.num_threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  auto check_tree = [&](size_t i) {
-    obs::ScopedSpan doc_span("batch.document", "engine");
-    doc_span.SetSeq(static_cast<int64_t>(i));
-    DocumentOutcome& outcome = report.outcomes[i];
-    outcome.name = "tree[" + std::to_string(i) + "]";
-    outcome.queue_wait_seconds = Seconds(start, Clock::now());
-    outcome.worker = ThreadPool::current_worker();
-    XIC_COUNTER_ADD("engine.batch.documents", 1);
-    if (doc_span.active()) {
-      doc_span.AddString("doc", outcome.name);
-      doc_span.AddInt("worker", outcome.worker);
-    }
-    try {
-      Deadline deadline = DocumentDeadline(RunOverrides{});
-      const DataTree& tree = *corpus[i];
-      outcome.vertices = tree.size();
-      if (Status s = injector_.MaybeFail("structure", outcome.name);
-          !s.ok()) {
-        outcome.error = std::move(s);
-        return;
-      }
-      Clock::time_point t1 = Clock::now();
-      outcome.structure = validator_.Validate(tree, deadline);
-      Clock::time_point t2 = Clock::now();
-      outcome.structure_seconds = Seconds(t1, t2);
-      if (Status s = injector_.MaybeFail("constraints", outcome.name);
-          !s.ok()) {
-        outcome.error = std::move(s);
-        return;
-      }
-      Arena& arena = WorkerArena();
-      arena.Reset();
-      outcome.constraints = checker_.Check(tree, deadline, &arena);
-      outcome.constraints_seconds = Seconds(t2, Clock::now());
-    } catch (const std::exception& e) {
-      outcome.error =
-          Status::Internal(std::string("uncaught exception: ") + e.what());
-    } catch (...) {
-      outcome.error = Status::Internal("uncaught exception");
-    }
-  };
-  if (threads <= 1 || corpus.size() <= 1) {
-    threads = 1;
-    for (size_t i = 0; i < corpus.size(); ++i) check_tree(i);
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(corpus.size(), check_tree);
-  }
-  report.stats.wall_seconds = Seconds(start, Clock::now());
-  report.stats.threads = threads;
-  report.stats.documents = corpus.size();
-  for (const DocumentOutcome& o : report.outcomes) {
-    if (o.ok()) ++report.stats.ok_documents;
-    if (o.infrastructure_failure()) {
-      ++report.stats.resource_failures;
-    } else if (!o.structure.ok()) {
-      ++report.stats.structurally_invalid;
-    } else if (!o.constraints.ok()) {
-      ++report.stats.constraint_violating;
-    }
-    report.stats.total_vertices += o.vertices;
-    report.stats.total_violations +=
-        o.structure.violations.size() + o.constraints.violations.size();
-    report.stats.structure_seconds += o.structure_seconds;
-    report.stats.constraints_seconds += o.constraints_seconds;
   }
   return report;
 }

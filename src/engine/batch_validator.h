@@ -2,13 +2,16 @@
 // (Definition 2.4 structure + G |= Sigma) turned into a throughput-
 // oriented pipeline.
 //
-// A BatchValidator compiles the expensive shared state once -- the DTD's
-// Glushkov automata (StructuralValidator) and the constraint checker's
-// plan -- and then fans a corpus of documents out across a work-stealing
-// thread pool (engine/thread_pool.h). Per document the pipeline runs
-// parse -> structural validation -> constraint check, all against the
-// shared read-only compiled state; every mutable intermediate lives on
-// the worker's stack.
+// A BatchValidator compiles the expensive shared state once -- a
+// StreamValidator (engine/stream_validator.h) holding the DTD's Glushkov
+// automata and the constraint extraction plan -- and then fans a corpus
+// of documents out across a work-stealing thread pool
+// (engine/thread_pool.h). Per document one streaming pass tokenizes the
+// bytes, runs the structural automata and extracts constraint tuples, and
+// a post-pass evaluates G |= Sigma over the extent logs; no tree is
+// built, so a worker's memory per document is bounded by the spill
+// budget, not by the document. Every mutable intermediate lives on the
+// worker's stack.
 //
 // Determinism: outcomes are stored at the document's input index, and the
 // per-document pipeline is sequential, so the violation report is
@@ -19,10 +22,11 @@
 // per-document deadline, hits an injected fault, or throws is recorded as
 // that document's outcome -- the batch always completes and reports every
 // other document normally. Transient failures (kUnavailable, e.g. from
-// the FaultInjector seam) are retried up to BatchOptions::max_attempts
-// times; everything else fails fast. Injected fault decisions depend only
-// on (seed, site, document name, attempt), so a faulted run's report is
-// still byte-identical across thread counts.
+// the FaultInjector seam, whose one engine site is "parse") are retried
+// up to BatchOptions::max_attempts times; everything else fails fast.
+// Injected fault decisions depend only on (seed, site, document name,
+// attempt), so a faulted run's report is still byte-identical across
+// thread counts.
 
 #ifndef XIC_ENGINE_BATCH_VALIDATOR_H_
 #define XIC_ENGINE_BATCH_VALIDATOR_H_
@@ -31,14 +35,11 @@
 #include <string>
 #include <vector>
 
-#include "constraints/checker.h"
 #include "engine/stream_validator.h"
-#include "model/structural_validator.h"
 #include "util/backoff.h"
 #include "util/fault_injector.h"
 #include "util/limits.h"
 #include "util/status.h"
-#include "xml/xml_parser.h"
 
 namespace xic {
 
@@ -61,8 +62,13 @@ struct DocumentOutcome {
   /// Attempts taken; > 1 when transient failures were retried.
   size_t attempts = 1;
   size_t vertices = 0;
+  /// The streaming pass: tokenizing, the structural automata and tuple
+  /// extraction interleave, so they are billed together.
   double parse_seconds = 0;
+  /// Always 0: structure is checked inside the streaming pass (billed to
+  /// parse_seconds). Kept so per-stage sums stay a stable interface.
   double structure_seconds = 0;
+  /// The post-pass over the extent logs (StreamStats::assemble_seconds).
   double constraints_seconds = 0;
   /// Delay between batch fan-out and this document's pipeline starting
   /// (approximates time spent waiting in the pool's queues). Timing-only
@@ -104,9 +110,8 @@ struct BatchStats {
   size_t threads = 1;
   double wall_seconds = 0;
   /// Per-stage times summed across workers (CPU-ish, exceeds wall time
-  /// when the pool overlaps documents).
+  /// when the pool overlaps documents), split as in DocumentOutcome.
   double parse_seconds = 0;
-  double structure_seconds = 0;
   double constraints_seconds = 0;
 
   /// Human-readable stats block (counts, wall time, docs/s, stage times).
@@ -145,25 +150,17 @@ struct BatchOptions {
   size_t num_threads = 0;
   ValidationOptions validation;
   CheckOptions check;
-  /// Parse options for the corpus; the `dtd` field is overridden with the
-  /// engine's DTD so set-valued attributes tokenize consistently.
-  XmlParseOptions parse;
-  /// Hard input/search limits, copied over `parse.limits` and
-  /// `validation.limits` (single knob for the whole pipeline).
+  /// Hard input/search limits, copied over `validation.limits` (single
+  /// knob for the whole pipeline).
   ResourceLimits limits;
-  /// Wall-clock budget per document attempt, 0 = none. Covers parse,
-  /// structural validation and the constraint check.
+  /// Wall-clock budget per document attempt, 0 = none. Covers the
+  /// streaming pass and the constraint post-pass.
   uint64_t document_timeout_ms = 0;
   /// Attempts per document; transient (kUnavailable) failures are
   /// retried until this many attempts were made.
   size_t max_attempts = 1;
-  /// Run each document through the streaming pipeline (StreamValidator)
-  /// instead of parse -> tree -> validate -> check. Verdicts are
-  /// byte-identical; peak memory per worker is bounded by the spill
-  /// budget instead of the largest document's tree.
-  bool stream = false;
   /// Extent-log bytes per document before spilling to disk (0 = never
-  /// spill). Only meaningful with `stream`.
+  /// spill).
   size_t stream_spill_budget_bytes = 64u << 20;
   /// Deterministic fault injection (off by default; see
   /// util/fault_injector.h).
@@ -195,9 +192,9 @@ struct RunOverrides {
   /// transient_attempts without a second retry layer multiplying
   /// attempts underneath it.
   size_t attempt_base = 0;
-  /// Input bounds for the parse stage of this call (document bytes,
-  /// nesting depth, expansion budget). Compiled-plan search bounds
-  /// (automaton states etc.) stay at their construction-time values.
+  /// Input bounds for this call (document bytes, nesting depth,
+  /// expansion budget). Compiled-plan search bounds (automaton states
+  /// etc.) stay at their construction-time values.
   std::optional<ResourceLimits> limits;
   /// Cooperative cancellation: when cancelled, per-document deadlines
   /// report expiry at the next check. Must outlive the Run call.
@@ -218,17 +215,13 @@ class BatchValidator {
   BatchValidator(const DtdStructure& dtd, const ConstraintSet& sigma,
                  BatchOptions options = {});
 
-  /// Parses and validates the whole corpus.
+  /// Validates the whole corpus.
   BatchReport Run(const std::vector<BatchDocument>& corpus) const;
 
   /// Run with per-call overrides (request deadline, retry budget, input
   /// limits, cancellation) layered over the compiled options.
   BatchReport Run(const std::vector<BatchDocument>& corpus,
                   const RunOverrides& overrides) const;
-
-  /// Validates already-parsed trees (no parse stage). The trees must stay
-  /// alive and unmodified for the duration of the call.
-  BatchReport RunTrees(const std::vector<const DataTree*>& corpus) const;
 
  private:
   DocumentOutcome CheckOne(const BatchDocument& doc,
@@ -237,15 +230,10 @@ class BatchValidator {
                                   const RunOverrides& overrides) const;
   Deadline DocumentDeadline(const RunOverrides& overrides) const;
 
-  const DtdStructure& dtd_;
-  const ConstraintSet& sigma_;
   BatchOptions options_;
-  StructuralValidator validator_;  // shared read-only after construction
-  ConstraintChecker checker_;      // shared read-only after construction
-  /// Compiled streaming plan, present when options_.stream; like the two
-  /// above it is read-only after construction (Run keeps per-document
-  /// state on the worker's stack).
-  std::optional<StreamValidator> streamer_;
+  /// Shared read-only after construction; Run keeps per-document state
+  /// on the worker's stack.
+  StreamValidator streamer_;
   FaultInjector injector_;
 };
 

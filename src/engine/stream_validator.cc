@@ -1,6 +1,7 @@
 #include "engine/stream_validator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -696,7 +697,10 @@ StreamOutcome StreamRun::Run(StreamTokenizer& tok,
     out.parse = std::move(s);
     return out;
   }
+  const auto assemble_start = std::chrono::steady_clock::now();
   Assemble(&out);
+  out.stats.assemble_seconds = std::chrono::duration<double>(
+      std::chrono::steady_clock::now() - assemble_start).count();
   span.AddInt("vertices", static_cast<int64_t>(out.stats.vertices));
   span.AddInt("spilled_bytes", static_cast<int64_t>(out.stats.spilled_bytes));
   XIC_COUNTER_ADD("stream.documents", 1);

@@ -95,6 +95,10 @@ struct StreamStats {
   size_t extent_records = 0;
   uint64_t spilled_bytes = 0;
   size_t spill_runs = 0;
+  /// Wall time of the post-pass that turns the extent logs into the
+  /// violation lists (sorts, merges, report assembly). The rest of a run
+  /// is the one pass that tokenizes, checks structure and extracts.
+  double assemble_seconds = 0;
 };
 
 /// The streaming pipeline's verdict; mirrors DocumentOutcome's
@@ -112,10 +116,11 @@ struct StreamOutcome {
 
 struct SelfDescribingStreamResult;
 
-/// Streaming twin of BatchValidator for one precompiled schema: compile
-/// the DTD's automata and the constraint plan once, then validate any
-/// number of byte streams against them. Thread-safe after construction
-/// (Run() keeps all mutable state on the caller's stack).
+/// The validate engine for one precompiled schema (BatchValidator and so
+/// xicbatch and xicd run it): compile the DTD's automata and the
+/// constraint plan once, then validate any number of byte streams against
+/// them. Thread-safe after construction (Run() keeps all mutable state on
+/// the caller's stack).
 class StreamValidator {
  public:
   /// The DTD and Sigma must outlive the validator and stay unmodified.
@@ -191,9 +196,9 @@ class StreamValidator {
 };
 
 /// One-shot streaming check of a *self-describing* document (DTD^C in
-/// the DOCTYPE internal subset): the streaming twin of
-/// ParseDocumentWithDtdC + StructuralValidator + ConstraintChecker, as
-/// xicheck --stream runs it.
+/// the DOCTYPE internal subset), as xicheck runs it: the verdict of
+/// ParseDocumentWithDtdC + StructuralValidator + ConstraintChecker
+/// without building the tree.
 struct SelfDescribingStreamResult {
   StreamOutcome outcome;
   std::string doctype_name;

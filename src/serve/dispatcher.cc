@@ -224,19 +224,13 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
         batch_options.validation.allow_missing_attributes = true;
         batch_options.faults = options_.faults;
         batch_options.backoff = options_.backoff;
+        batch_options.stream_spill_budget_bytes =
+            options_.stream_spill_budget_bytes;
         plan->validator = std::make_unique<BatchValidator>(
             plan->dtd, plan->sigma, batch_options);
-        BatchOptions stream_options = batch_options;
-        stream_options.stream = true;
-        stream_options.stream_spill_budget_bytes =
-            options_.stream_spill_budget_bytes;
-        plan->stream_validator = std::make_unique<BatchValidator>(
-            plan->dtd, plan->sigma, stream_options);
         // Footprint estimate: automata and plan indexes scale with the
         // declaration text; the constant covers fixed per-plan overhead.
-        // x2: the plan carries both the materialized and the streaming
-        // validator.
-        plan->bytes = 2 * (4096 + shell.value().subset.size() * 16);
+        plan->bytes = 4096 + shell.value().subset.size() * 16;
         return PlanPtr(std::move(plan));
       },
       cache_hit);
@@ -428,14 +422,11 @@ Response Dispatcher::DoValidate(const Request& request,
   BatchDocument document;
   document.name = request.header("name", "request:" + HeaderSafe(id));
   document.text = request.body;
-  const BatchValidator& validator = stream
-                                        ? *plan.value()->stream_validator
-                                        : *plan.value()->validator;
   BatchReport report;
   {
     obs::ScopedSpan run_span("serve.run", "serve");
     PhaseTimer run_timer(timing == nullptr ? nullptr : &timing->run_us);
-    report = validator.Run({document}, overrides);
+    report = plan.value()->validator->Run({document}, overrides);
   }
   const DocumentOutcome& outcome = report.outcomes[0];
   Response response;

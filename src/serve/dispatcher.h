@@ -16,16 +16,17 @@
 //   validate      body = XML document. With header schema=<hash> the
 //                 cached plan is used and the body may omit a DOCTYPE;
 //                 otherwise the body must be self-describing and its
-//                 internal subset is hashed into the cache. Response
+//                 internal subset is hashed into the cache. The plan's
+//                 BatchValidator runs the bounded-memory streaming
+//                 pipeline (engine/stream_validator.h): the document is
+//                 tokenized rather than materialized and field tuples
+//                 spill to disk past
+//                 DispatcherOptions::stream_spill_budget_bytes. Response
 //                 body = xic-batch-report-v1 JSON for the one document.
 //   validate.stream
-//                 same request and response shape as validate, run
-//                 through the bounded-memory streaming pipeline
-//                 (engine/stream_validator.h): the document is tokenized
-//                 rather than materialized and field tuples spill to
-//                 disk past DispatcherOptions::stream_spill_budget_bytes.
-//                 Verdict bytes are identical to validate; response
-//                 carries mode=stream.
+//                 kept for compatibility: validate under another name,
+//                 with the same response bytes plus a mode=stream
+//                 header.
 //   lint          schema resolution as validate (header or
 //                 self-describing body); response body = xiclint JSON.
 //   imply         body = "<sigma statements> \n ? \n <query statements>";
@@ -104,8 +105,8 @@ struct DispatcherOptions {
   BackoffConfig backoff;
   /// Bounded memo of imply responses (entries, not bytes).
   size_t imply_memo_entries = 1024;
-  /// Extent-log bytes per validate.stream request before the streaming
-  /// pipeline spills field tuples to disk (0 = never spill).
+  /// Extent-log bytes per validate / validate.stream request before the
+  /// streaming pipeline spills field tuples to disk (0 = never spill).
   size_t stream_spill_budget_bytes = 64u << 20;
   /// Deterministic fault injection for the serve sites ("serve.admit",
   /// "serve.compile", "serve.dispatch", "serve.session"), keyed by

@@ -45,7 +45,8 @@
 namespace xic::serve {
 
 /// Everything compiled from one schema: the DTD, its constraint set, and
-/// a BatchValidator holding the Glushkov automata and checker plan.
+/// a BatchValidator holding the Glushkov automata and the streaming
+/// extraction plan. It backs both validate and validate.stream.
 /// Immutable after construction; shared read-only across requests.
 struct CompiledPlan {
   std::string key;  // content hash (hex)
@@ -54,10 +55,6 @@ struct CompiledPlan {
   /// Compiled validator referencing `dtd` / `sigma` above. Constructed
   /// after the struct is heap-allocated so the references stay stable.
   std::unique_ptr<BatchValidator> validator;
-  /// Streaming twin of `validator` (BatchOptions::stream), backing the
-  /// validate.stream verb: same verdict bytes, bounded memory per
-  /// request. Compiled alongside so both verbs share one cache entry.
-  std::unique_ptr<BatchValidator> stream_validator;
   /// Estimated resident footprint, charged against the cache budget.
   size_t bytes = 0;
 };

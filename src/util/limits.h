@@ -116,8 +116,14 @@ class Deadline {
     d.infinite_ = false;
     return d;
   }
+  /// A budget too large to represent as a time point from now means no
+  /// deadline (converting it would overflow into one already expired).
   static Deadline AfterMillis(uint64_t ms) {
-    return After(std::chrono::milliseconds(ms));
+    using std::chrono::milliseconds;
+    const auto headroom = std::chrono::duration_cast<milliseconds>(
+        Clock::time_point::max() - Clock::now());
+    if (ms >= static_cast<uint64_t>(headroom.count())) return Infinite();
+    return After(milliseconds(ms));
   }
   /// An already-expired deadline (tests, "poll only" semantics).
   static Deadline Expired() { return After(Clock::duration::zero()); }

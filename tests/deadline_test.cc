@@ -6,6 +6,7 @@
 // loaded machines.
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -59,6 +60,15 @@ TEST(Deadline, GenerousBudgetDoesNotExpire) {
   Deadline d = Deadline::AfterMillis(60'000);
   EXPECT_FALSE(d.expired());
   EXPECT_TRUE(d.Check("slack").ok());
+}
+
+TEST(Deadline, UnrepresentableBudgetMeansNoDeadline) {
+  for (uint64_t ms : {UINT64_MAX, uint64_t{10'000'000'000'000}}) {
+    Deadline d = Deadline::AfterMillis(ms);
+    EXPECT_FALSE(d.expired()) << ms;
+    EXPECT_TRUE(d.Check("huge budget").ok()) << ms;
+  }
+  EXPECT_TRUE(Deadline::AfterMillis(UINT64_MAX).infinite());
 }
 
 TEST(Deadline, CancellationTokenTripsInfiniteDeadline) {

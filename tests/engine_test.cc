@@ -12,7 +12,6 @@
 #include "constraints/constraint_parser.h"
 #include "engine/batch_validator.h"
 #include "engine/thread_pool.h"
-#include "model/doc_generator.h"
 
 namespace {
 
@@ -340,27 +339,6 @@ TEST(BatchValidator, CleanCorpusIsAllOk) {
   EXPECT_TRUE(report.all_ok()) << report.ViolationsToString(sigma);
   EXPECT_EQ(report.stats.total_violations, 0u);
   EXPECT_EQ(report.ViolationsToString(sigma), "");
-}
-
-TEST(BatchValidator, RunTreesValidatesGeneratedDocuments) {
-  DtdStructure dtd = CatalogDtd();
-  ConstraintSet sigma;  // structure only
-  sigma.language = Language::kLu;
-  DocGenerator generator(dtd, {.seed = 7, .max_depth = 8});
-  ASSERT_TRUE(generator.status().ok()) << generator.status();
-  std::vector<DataTree> trees;
-  for (int i = 0; i < 24; ++i) {
-    Result<DataTree> tree = generator.Generate();
-    ASSERT_TRUE(tree.ok()) << tree.status();
-    trees.push_back(std::move(tree).value());
-  }
-  std::vector<const DataTree*> pointers;
-  for (const DataTree& t : trees) pointers.push_back(&t);
-  BatchValidator validator(dtd, sigma, Threads(4));
-  BatchReport report = validator.RunTrees(pointers);
-  EXPECT_EQ(report.stats.structurally_invalid, 0u)
-      << report.ViolationsToString(sigma);
-  EXPECT_TRUE(report.all_ok());
 }
 
 }  // namespace

@@ -635,7 +635,7 @@ TEST(DispatcherTest, ValidateRetriesAtOneLayerOnly) {
   DispatcherOptions options = FastOptions();
   options.faults.rate = 1.0;  // every request faults...
   options.faults.transient_attempts = 1;  // ...on its first attempt only
-  options.faults.sites = {"constraints"};  // an engine-level site
+  options.faults.sites = {"parse"};  // the engine's fault site
   Dispatcher dispatcher(options);
   Result<PlanPtr> plan = dispatcher.CompileIntoCache(kSchema, "warm");
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
