@@ -21,8 +21,19 @@
 // Record order within one (payload, seq, rank) sort key is total, so a
 // scan's output is deterministic regardless of when spills happened --
 // the streaming verdict stays byte-identical to the materialized one at
-// any budget (pinned by tests/stream_test.cc at budget 0, i.e. spill on
-// every append).
+// any budget (pinned by tests/stream_test.cc at budget 1, i.e. spill on
+// every append, and by tests/extent_log_test.cc at budgets 0, 1 and
+// 4 KiB).
+//
+// Batch layout: each in-memory record is one 32-byte Entry whose first
+// 8 payload bytes, zero-padded, sit inline as its sort key. Payloads of
+// at most 8 bytes live only there; heap_ holds only the longer ones,
+// whole, so every payload is one contiguous view. The batch sort
+// compares the key as a big-endian unsigned integer and touches heap_
+// only when two keys tie and both payloads are longer than 8 bytes.
+// Invariant: that entry order equals RecordLess, the (payload bytes as
+// unsigned, seq, rank) order the scan's k-way merge of spilled runs and
+// the foreign-key merge-join both assume.
 
 #ifndef XIC_ENGINE_EXTENT_LOG_H_
 #define XIC_ENGINE_EXTENT_LOG_H_
@@ -76,7 +87,9 @@ class TupleLog {
   ~TupleLog();
 
   /// Appends one record. May spill (this or another log) past the shared
-  /// budget; spill I/O failures surface here as kUnavailable.
+  /// budget; spill I/O failures surface here as kUnavailable, and a
+  /// payload of 4 GiB or more (beyond the 32-bit record length) as
+  /// kResourceExhausted.
   Status Append(uint32_t seq, uint32_t rank, std::string_view payload);
 
   /// Seals the log: sorts the in-memory tail and maps any spilled runs.
@@ -130,24 +143,28 @@ class TupleLog {
   friend class SpillBudget;
 
   struct Entry {
+    char prefix[8];   // first min(len, 8) payload bytes, zero-padded
+    uint64_t offset;  // into heap_ when len > 8, unused otherwise
     uint32_t seq;
     uint32_t rank;
-    uint64_t offset;  // into heap_ (batch payload bytes)
     uint32_t len;
   };
+  static_assert(sizeof(Entry) == 32);
   struct Run {
     uint64_t offset;  // into the spill file
     uint64_t bytes;
   };
 
   size_t batch_bytes() const { return charged_; }
+  std::string_view PayloadOf(const Entry& e) const;
+  bool EntryLess(const Entry& a, const Entry& b) const;  // == RecordLess
   void SortBatch();
   Status SpillBatch();
   Status EnsureFile();
 
   SpillBudget* budget_;
   std::vector<Entry> entries_;  // in-memory batch (sorted after Finish)
-  std::string heap_;            // batch payload bytes
+  std::string heap_;            // batch payloads longer than 8 bytes
   std::vector<Run> runs_;
   size_t charged_ = 0;  // bytes currently charged against the budget
   size_t record_count_ = 0;
