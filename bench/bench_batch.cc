@@ -96,8 +96,8 @@ void BM_BatchValidate(benchmark::State& state) {
 // one batch over the 256-document corpus takes ~100 ms, and benchmark's
 // default budget was satisfied by the very first timing sample, so the
 // published docs/s was a one-shot measurement (noisy, and blind to
-// steady-state effects like arena reuse). Two seconds buys a double-digit
-// iteration count at every thread setting.
+// steady-state effects like reused buffers). Two seconds buys a
+// double-digit iteration count at every thread setting.
 BENCHMARK(BM_BatchValidate)
     ->Arg(1)
     ->Arg(2)

@@ -1,13 +1,13 @@
 #include "constraints/checker.h"
 
 #include <deque>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "constraints/well_formed.h"
+#include "engine/stream_validator.h"
 #include "obs/obs.h"
-#include "util/strings.h"
 
 namespace xic {
 
@@ -21,26 +21,72 @@ std::string ConstraintReport::ToString(const ConstraintSet& sigma) const {
   return out;
 }
 
-ConstraintChecker::ConstraintChecker(const DtdStructure& dtd,
-                                     const ConstraintSet& sigma,
-                                     CheckOptions options)
-    : dtd_(dtd), sigma_(sigma), options_(options) {
-  // Compile the immutable plan: everything that depends only on the DTD
-  // and Sigma is resolved here so Check() never mutates shared state.
-  plan_.resize(sigma_.constraints.size());
-  for (size_t i = 0; i < sigma_.constraints.size(); ++i) {
-    const Constraint& c = sigma_.constraints[i];
-    if (c.kind == ConstraintKind::kId) needs_global_ids_ = true;
-    if (c.kind == ConstraintKind::kInverse) {
-      plan_[i].inv_key =
-          c.inv_key.empty() ? dtd_.IdAttribute(c.element).value_or("")
-                            : c.inv_key;
-      plan_[i].inv_ref_key =
-          c.inv_ref_key.empty() ? dtd_.IdAttribute(c.ref_element).value_or("")
-                                : c.inv_ref_key;
+ConstraintPlan::ConstraintPlan(const DtdStructure& d, const ConstraintSet& s)
+    : dtd(d), sigma(s), inverse_keys(s.constraints.size()) {
+  auto field_index = [this](TypePlan* plan, const std::string& element,
+                            const std::string& name) -> size_t {
+    for (size_t i = 0; i < plan->fields.size(); ++i) {
+      if (plan->fields[i] == name) return i;
+    }
+    plan->fields.push_back(name);
+    plan->field_declared.push_back(dtd.HasAttribute(element, name));
+    return plan->fields.size() - 1;
+  };
+  auto add_role = [&](const std::string& element, Role::Kind kind, size_t ci,
+                      const std::vector<std::string>& names) {
+    TypePlan& plan = type_plans[element];
+    Role role;
+    role.kind = kind;
+    role.constraint = ci;
+    role.fields.reserve(names.size());
+    for (const std::string& name : names) {
+      role.fields.push_back(field_index(&plan, element, name));
+    }
+    plan.roles.push_back(std::move(role));
+  };
+  for (size_t i = 0; i < sigma.constraints.size(); ++i) {
+    const Constraint& c = sigma.constraints[i];
+    switch (c.kind) {
+      case ConstraintKind::kKey:
+        add_role(c.element, Role::kKeyTuple, i, c.attrs);
+        break;
+      case ConstraintKind::kForeignKey:
+        add_role(c.element, Role::kFkTuple, i, c.attrs);
+        add_role(c.ref_element, Role::kFkTarget, i, c.ref_attrs);
+        break;
+      case ConstraintKind::kSetForeignKey:
+        if (c.attrs.empty() || c.ref_attrs.empty()) break;
+        add_role(c.element, Role::kSfkSource, i, {c.attr()});
+        add_role(c.ref_element, Role::kSfkTarget, i, {c.ref_attr()});
+        break;
+      case ConstraintKind::kId:
+        needs_global_ids = true;
+        if (c.attrs.empty()) break;
+        add_role(c.element, Role::kIdExt, i, {c.attr()});
+        break;
+      case ConstraintKind::kInverse: {
+        InverseKeys& keys = inverse_keys[i];
+        keys.key = c.inv_key.empty() ? dtd.IdAttribute(c.element).value_or("")
+                                     : c.inv_key;
+        keys.ref_key = c.inv_ref_key.empty()
+                           ? dtd.IdAttribute(c.ref_element).value_or("")
+                           : c.inv_ref_key;
+        // Unresolvable keys are reported at check time; nothing to
+        // extract.
+        if (keys.key.empty() || keys.ref_key.empty()) break;
+        if (c.attrs.empty() || c.ref_attrs.empty()) break;
+        add_role(c.element, Role::kInvExt, i, {keys.key, c.attr()});
+        add_role(c.ref_element, Role::kInvRef, i, {keys.ref_key, c.ref_attr()});
+        break;
+      }
     }
   }
 }
+
+ConstraintChecker::ConstraintChecker(const DtdStructure& dtd,
+                                     const ConstraintSet& sigma,
+                                     CheckOptions options)
+    : plan_(dtd, sigma), options_(options) {}
 
 namespace {
 
@@ -57,54 +103,14 @@ std::string TextContent(const DataTree& tree, VertexId v) {
   return out;
 }
 
-// Encodes a tuple of values into `out` (reused across vertices; values
-// are length-prefixed so distinct tuples never collide).
-void EncodeTuple(const std::vector<std::string_view>& values,
-                 std::string* out) {
-  out->clear();
-  for (std::string_view v : values) {
-    *out += std::to_string(v.size());
-    *out += ':';
-    out->append(v);
-  }
-}
-
-std::string JoinViews(const std::vector<std::string_view>& values,
-                      std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(values[i]);
-  }
-  return out;
-}
-
-std::vector<std::string> ToStrings(const std::vector<std::string_view>& v) {
-  return std::vector<std::string>(v.begin(), v.end());
-}
-
-// Hash scratch containers carved out of the per-document arena: bucket
-// arrays and nodes bump-allocate, teardown is a no-op, and Arena::Reset()
-// reclaims everything between documents.
-template <typename K, typename V>
-using ArenaHashMap =
-    std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-                       ArenaAllocator<std::pair<const K, V>>>;
-template <typename T>
-using ArenaHashSet =
-    std::unordered_set<T, std::hash<T>, std::equal_to<T>, ArenaAllocator<T>>;
-
-}  // namespace
-
-Result<AttrValue> ConstraintChecker::FieldValue(const DataTree& tree,
-                                                VertexId v,
-                                                const std::string& name) const {
+Result<AttrValue> FieldValueOf(const DtdStructure& dtd, const DataTree& tree,
+                               VertexId v, const std::string& name) {
   if (tree.HasAttribute(v, name)) return tree.Attribute(v, name);
   // A name in Att(tau) always denotes the attribute: an unset declared
   // attribute is a missing field, never a sub-element fallback (keeps the
-  // batch checker in agreement with IncrementalChecker, which only ever
-  // reads attributes).
-  if (dtd_.HasAttribute(tree.label(v), name)) {
+  // checker in agreement with IncrementalChecker, which only ever reads
+  // attributes).
+  if (dtd.HasAttribute(tree.label(v), name)) {
     return Status::InvalidArgument("field " + name + " undefined on vertex " +
                                    std::to_string(v) +
                                    " (declared attribute unset)");
@@ -125,14 +131,35 @@ Result<AttrValue> ConstraintChecker::FieldValue(const DataTree& tree,
       (count > 1 ? " (sub-element not unique)" : ""));
 }
 
+std::string JoinViews(const std::vector<std::string_view>& values,
+                      std::string_view sep) {
+  std::string out;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out.append(sep);
+    out.append(values[i]);
+  }
+  return out;
+}
+
+std::vector<std::string> ToStrings(const std::vector<std::string_view>& v) {
+  return std::vector<std::string>(v.begin(), v.end());
+}
+
+}  // namespace
+
+Result<AttrValue> ConstraintChecker::FieldValue(const DataTree& tree,
+                                                VertexId v,
+                                                const std::string& name) const {
+  return FieldValueOf(plan_.dtd, tree, v, name);
+}
+
 ConstraintReport ConstraintChecker::Check(const DataTree& tree,
-                                          const Deadline& deadline,
-                                          Arena* arena) const {
+                                          const Deadline& deadline) const {
   obs::ScopedSpan span("constraints.check", "constraints");
-  Arena local_arena;
   ConstraintReport report =
-      CheckImpl(tree, deadline, arena != nullptr ? arena : &local_arena);
-  span.AddInt("constraints", static_cast<int64_t>(sigma_.constraints.size()));
+      CheckTreeConstraints(plan_, tree, options_.max_violations, deadline);
+  span.AddInt("constraints",
+              static_cast<int64_t>(plan_.sigma.constraints.size()));
   span.AddInt("steps", static_cast<int64_t>(report.steps));
   span.AddInt("violations", static_cast<int64_t>(report.violations.size()));
   XIC_COUNTER_ADD("constraints.checks", 1);
@@ -141,29 +168,28 @@ ConstraintReport ConstraintChecker::Check(const DataTree& tree,
   return report;
 }
 
-ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
-                                              const Deadline& deadline,
-                                              Arena* arena) const {
+ConstraintReport NaiveCheck(const DtdStructure& dtd,
+                            const ConstraintSet& sigma, const DataTree& tree,
+                            size_t max_violations) {
+  const ConstraintPlan plan(dtd, sigma);
   ConstraintReport report;
   ExtentIndex extents(tree);
+  auto full = [&] {
+    return max_violations != 0 && report.violations.size() >= max_violations;
+  };
   auto add = [&](size_t index, std::string msg, std::vector<VertexId> wit,
                  std::vector<std::string> values = {}) {
-    if (options_.max_violations == 0 ||
-        report.violations.size() < options_.max_violations) {
+    if (!full()) {
       report.violations.push_back(
           {index, std::move(msg), std::move(wit), std::move(values)});
     }
   };
-  auto full = [&] {
-    return options_.max_violations != 0 &&
-           report.violations.size() >= options_.max_violations;
-  };
 
   // Field access works on views. The fast path returns a view straight
-  // into the tree's attribute storage (FindAttr by interned symbol: no
-  // hashing, no copies); the cold paths -- sub-element fields, unset
-  // declared attributes -- materialize through FieldValue() and anchor the
-  // result in these deques so the views stay valid for the whole check.
+  // into the tree's attribute storage (FindAttr by interned symbol); the
+  // cold paths -- sub-element fields, unset declared attributes --
+  // materialize through FieldValueOf() and anchor the result in these
+  // deques so the views stay valid for the whole check.
   std::deque<std::string> owned_strings;
   std::deque<AttrValue> owned_values;
 
@@ -171,14 +197,13 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
   // the caller as violations of the constraint that needed them).
   auto single = [&](VertexId v, Symbol sym,
                     const std::string& name) -> std::optional<std::string_view> {
-    ++report.steps;
     if (sym != kInvalidSymbol) {
       if (const AttrValue* value = tree.FindAttr(v, sym)) {
         if (value->size() != 1) return std::nullopt;
         return std::string_view(*value->begin());
       }
     }
-    Result<AttrValue> value = FieldValue(tree, v, name);
+    Result<AttrValue> value = FieldValueOf(dtd, tree, v, name);
     if (!value.ok() || value.value().size() != 1) return std::nullopt;
     owned_strings.push_back(*value.value().begin());
     return std::string_view(owned_strings.back());
@@ -189,7 +214,7 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
     if (sym != kInvalidSymbol) {
       if (const AttrValue* value = tree.FindAttr(v, sym)) return value;
     }
-    Result<AttrValue> value = FieldValue(tree, v, name);
+    Result<AttrValue> value = FieldValueOf(dtd, tree, v, name);
     if (!value.ok()) return nullptr;
     owned_values.push_back(std::move(value).value());
     return &owned_values.back();
@@ -215,50 +240,23 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
   };
 
   // Global ID table for kId constraints: value -> vertices carrying it in
-  // their type's ID attribute (document-wide scope). Per-document scratch,
-  // like `extents` above -- nothing here outlives this call.
+  // their type's ID attribute (document-wide scope).
   std::unordered_map<std::string_view, std::vector<VertexId>> global_ids;
-  if (needs_global_ids_) {
-    // Per-label-symbol ID attribute (name + interned id), resolved once.
-    const size_t nsyms = tree.symbols().size();
-    std::vector<const std::string*> id_name_of(nsyms, nullptr);
-    std::vector<Symbol> id_sym_of(nsyms, kInvalidSymbol);
-    std::deque<std::string> id_names;
-    for (Symbol s = 0; s < nsyms; ++s) {
-      std::optional<std::string> id_attr =
-          dtd_.IdAttribute(tree.symbols().name(s));
-      if (!id_attr.has_value()) continue;
-      id_names.push_back(std::move(*id_attr));
-      id_name_of[s] = &id_names.back();
-      id_sym_of[s] = tree.FindName(id_names.back());
-    }
+  if (plan.needs_global_ids) {
     for (VertexId v = 0; v < tree.size(); ++v) {
-      if ((v & 0x3FF) == 0) {
-        if (Status s = deadline.Check("constraint check"); !s.ok()) {
-          report.status = std::move(s);
-          return report;
-        }
-      }
-      const Symbol tau = tree.label_symbol(v);
-      if (id_name_of[tau] == nullptr) continue;
+      std::optional<std::string> id_attr = dtd.IdAttribute(tree.label(v));
+      if (!id_attr.has_value()) continue;
       if (std::optional<std::string_view> val =
-              single(v, id_sym_of[tau], *id_name_of[tau])) {
+              single(v, tree.FindName(*id_attr), *id_attr)) {
         global_ids[*val].push_back(v);
       }
     }
   }
 
-  // Reused per-constraint/per-vertex scratch.
   std::vector<Symbol> attr_syms, ref_attr_syms;
   std::vector<std::string_view> tbuf, ubuf;
-  std::string encode_buf;
-
-  for (size_t i = 0; i < sigma_.constraints.size() && !full(); ++i) {
-    if (Status s = deadline.Check("constraint check"); !s.ok()) {
-      report.status = std::move(s);
-      return report;
-    }
-    const Constraint& c = sigma_.constraints[i];
+  for (size_t i = 0; i < sigma.constraints.size() && !full(); ++i) {
+    const Constraint& c = sigma.constraints[i];
     const std::vector<VertexId>& ext = extents.Extent(c.element);
     const std::vector<VertexId>& ref_ext = extents.Extent(c.ref_element);
     resolve(c.attrs, attr_syms);
@@ -266,45 +264,21 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
 
     switch (c.kind) {
       case ConstraintKind::kKey: {
-        if (options_.naive) {
-          // Mirrors the indexed path exactly: each duplicate is reported
-          // once, against the *first* vertex carrying the same tuple (not
-          // once per earlier occurrence, which over-reports on triples).
-          for (size_t b = 0; b < ext.size() && !full(); ++b) {
-            if (!tuple_into(ext[b], c.attrs, attr_syms, tbuf)) {
-              add(i, "key field missing", {ext[b]});
-              continue;
-            }
-            for (size_t a = 0; a < b; ++a) {
-              if (tuple_into(ext[a], c.attrs, attr_syms, ubuf) &&
-                  ubuf == tbuf) {
-                add(i, "duplicate key [" + JoinViews(tbuf, ",") + "]",
-                    {ext[a], ext[b]}, ToStrings(tbuf));
-                break;
-              }
-            }
-          }
-          break;
-        }
-        ArenaHashMap<std::string_view, VertexId> seen(
-            8, ArenaAllocator<std::pair<const std::string_view, VertexId>>(
-                   arena));
-        for (VertexId v : ext) {
-          if (!tuple_into(v, c.attrs, attr_syms, tbuf)) {
-            add(i, "key field missing", {v});
+        // Each duplicate is reported once, against the *first* vertex
+        // carrying the same tuple (not once per earlier occurrence, which
+        // over-reports on triples).
+        for (size_t b = 0; b < ext.size() && !full(); ++b) {
+          if (!tuple_into(ext[b], c.attrs, attr_syms, tbuf)) {
+            add(i, "key field missing", {ext[b]});
             continue;
           }
-          EncodeTuple(tbuf, &encode_buf);
-          auto it = seen.find(std::string_view(encode_buf));
-          if (it == seen.end()) {
-            // The key must outlive encode_buf's next reuse: copy it into
-            // the arena (reclaimed wholesale between documents).
-            seen.emplace(arena->CopyString(encode_buf), v);
-          } else {
-            add(i, "duplicate key [" + JoinViews(tbuf, ",") + "]",
-                {it->second, v}, ToStrings(tbuf));
+          for (size_t a = 0; a < b; ++a) {
+            if (tuple_into(ext[a], c.attrs, attr_syms, ubuf) && ubuf == tbuf) {
+              add(i, "duplicate key [" + JoinViews(tbuf, ",") + "]",
+                  {ext[a], ext[b]}, ToStrings(tbuf));
+              break;
+            }
           }
-          if (full()) break;
         }
         break;
       }
@@ -334,46 +308,20 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
       }
 
       case ConstraintKind::kForeignKey: {
-        if (options_.naive) {
-          for (VertexId v : ext) {
-            if (!tuple_into(v, c.attrs, attr_syms, tbuf)) {
-              add(i, "foreign-key field missing", {v});
-              continue;
-            }
-            bool found = false;
-            for (VertexId w : ref_ext) {
-              if (tuple_into(w, c.ref_attrs, ref_attr_syms, ubuf) &&
-                  ubuf == tbuf) {
-                found = true;
-                break;
-              }
-            }
-            if (!found) {
-              add(i, "dangling reference [" + JoinViews(tbuf, ",") + "]",
-                  {v}, ToStrings(tbuf));
-            }
-            if (full()) break;
-          }
-          break;
-        }
-        ArenaHashSet<std::string_view> targets(
-            8, ArenaAllocator<std::string_view>(arena));
-        for (VertexId w : ref_ext) {
-          if (tuple_into(w, c.ref_attrs, ref_attr_syms, ubuf)) {
-            EncodeTuple(ubuf, &encode_buf);
-            if (targets.find(std::string_view(encode_buf)) ==
-                targets.end()) {
-              targets.insert(arena->CopyString(encode_buf));
-            }
-          }
-        }
         for (VertexId v : ext) {
           if (!tuple_into(v, c.attrs, attr_syms, tbuf)) {
             add(i, "foreign-key field missing", {v});
             continue;
           }
-          EncodeTuple(tbuf, &encode_buf);
-          if (targets.count(std::string_view(encode_buf)) == 0) {
+          bool found = false;
+          for (VertexId w : ref_ext) {
+            if (tuple_into(w, c.ref_attrs, ref_attr_syms, ubuf) &&
+                ubuf == tbuf) {
+              found = true;
+              break;
+            }
+          }
+          if (!found) {
             add(i, "dangling reference [" + JoinViews(tbuf, ",") + "]", {v},
                 ToStrings(tbuf));
           }
@@ -383,16 +331,6 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
       }
 
       case ConstraintKind::kSetForeignKey: {
-        // Target key values are views into the tree (or the owned
-        // anchors), both stable for the whole check: no copies needed.
-        ArenaHashSet<std::string_view> targets(
-            8, ArenaAllocator<std::string_view>(arena));
-        for (VertexId w : ref_ext) {
-          if (std::optional<std::string_view> u =
-                  single(w, ref_attr_syms[0], c.ref_attr())) {
-            targets.insert(*u);
-          }
-        }
         for (VertexId v : ext) {
           const AttrValue* vals = field_ptr(v, attr_syms[0], c.attr());
           if (vals == nullptr) {
@@ -400,19 +338,14 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
             continue;
           }
           for (const std::string& val : *vals) {
-            bool found;
-            if (options_.naive) {
-              found = false;
-              for (VertexId w : ref_ext) {
-                std::optional<std::string_view> u =
-                    single(w, ref_attr_syms[0], c.ref_attr());
-                if (u.has_value() && *u == val) {
-                  found = true;
-                  break;
-                }
+            bool found = false;
+            for (VertexId w : ref_ext) {
+              std::optional<std::string_view> u =
+                  single(w, ref_attr_syms[0], c.ref_attr());
+              if (u.has_value() && *u == val) {
+                found = true;
+                break;
               }
-            } else {
-              found = targets.count(std::string_view(val)) > 0;
             }
             if (!found) {
               add(i, "dangling reference \"" + val + "\"", {v}, {val});
@@ -425,10 +358,8 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
       }
 
       case ConstraintKind::kInverse: {
-        // Key attributes (named in L_u, ID attributes in L_id) were
-        // resolved at compile time.
-        const std::string& lk = plan_[i].inv_key;
-        const std::string& lk2 = plan_[i].inv_ref_key;
+        const std::string& lk = plan.inverse_keys[i].key;
+        const std::string& lk2 = plan.inverse_keys[i].ref_key;
         if (lk.empty() || lk2.empty()) {
           add(i, "inverse constraint lacks key attributes", {});
           break;
@@ -446,8 +377,7 @@ ConstraintReport ConstraintChecker::CheckImpl(const DataTree& tree,
           }
         }
         for (VertexId w : ref_ext) {
-          if (std::optional<std::string_view> val =
-                  single(w, lk2_sym, lk2)) {
+          if (std::optional<std::string_view> val = single(w, lk2_sym, lk2)) {
             ref_by_key[*val].push_back(w);
           }
         }

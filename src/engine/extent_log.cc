@@ -305,7 +305,7 @@ bool TupleLog::Cursor::Next(Record* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Tuple encoding (mirrors the checker's EncodeTuple byte-for-byte)
+// Tuple encoding
 
 void EncodeTupleInto(const std::vector<std::string_view>& values,
                      std::string* out) {

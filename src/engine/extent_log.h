@@ -176,7 +176,7 @@ class TupleLog {
   size_t map_bytes_ = 0;
 };
 
-/// Encodes a tuple of field values into the checker's collision-free
+/// Encodes a tuple of field values into a collision-free
 /// length-prefixed form ("3:abc2:xy"); DecodeTuple inverts it for
 /// rendering violation messages.
 void EncodeTupleInto(const std::vector<std::string_view>& values,

@@ -22,104 +22,46 @@
 
 namespace xic {
 
-// ---------------------------------------------------------------------------
-// Compilation: which field tuples each element type must surrender.
-
 StreamValidator::StreamValidator(const DtdStructure& dtd,
                                  const ConstraintSet& sigma,
                                  StreamOptions options)
-    : dtd_(dtd),
-      sigma_(sigma),
+    : plan_(dtd, sigma),
       options_(std::move(options)),
-      validator_(dtd, options_.validation) {
-  inverse_keys_.resize(sigma_.constraints.size());
-  auto field_index = [this](TypePlan* plan, const std::string& element,
-                            const std::string& name) -> size_t {
-    for (size_t i = 0; i < plan->fields.size(); ++i) {
-      if (plan->fields[i] == name) return i;
-    }
-    plan->fields.push_back(name);
-    plan->field_declared.push_back(dtd_.HasAttribute(element, name));
-    return plan->fields.size() - 1;
-  };
-  auto add_role = [&](const std::string& element, Role::Kind kind, size_t ci,
-                      const std::vector<std::string>& names) {
-    TypePlan& plan = type_plans_[element];
-    Role role;
-    role.kind = kind;
-    role.constraint = ci;
-    role.fields.reserve(names.size());
-    for (const std::string& name : names) {
-      role.fields.push_back(field_index(&plan, element, name));
-    }
-    plan.roles.push_back(std::move(role));
-  };
-  for (size_t i = 0; i < sigma_.constraints.size(); ++i) {
-    const Constraint& c = sigma_.constraints[i];
-    switch (c.kind) {
-      case ConstraintKind::kKey:
-        add_role(c.element, Role::kKeyTuple, i, c.attrs);
-        break;
-      case ConstraintKind::kForeignKey:
-        add_role(c.element, Role::kFkTuple, i, c.attrs);
-        add_role(c.ref_element, Role::kFkTarget, i, c.ref_attrs);
-        break;
-      case ConstraintKind::kSetForeignKey:
-        if (c.attrs.empty() || c.ref_attrs.empty()) break;
-        add_role(c.element, Role::kSfkSource, i, {c.attr()});
-        add_role(c.ref_element, Role::kSfkTarget, i, {c.ref_attr()});
-        break;
-      case ConstraintKind::kId:
-        needs_global_ids_ = true;
-        if (c.attrs.empty()) break;
-        add_role(c.element, Role::kIdExt, i, {c.attr()});
-        break;
-      case ConstraintKind::kInverse: {
-        inverse_keys_[i].key =
-            c.inv_key.empty() ? dtd_.IdAttribute(c.element).value_or("")
-                              : c.inv_key;
-        inverse_keys_[i].ref_key =
-            c.inv_ref_key.empty()
-                ? dtd_.IdAttribute(c.ref_element).value_or("")
-                : c.inv_ref_key;
-        // Unresolvable keys are reported at check time ("inverse
-        // constraint lacks key attributes"); nothing to extract.
-        if (inverse_keys_[i].key.empty() || inverse_keys_[i].ref_key.empty())
-          break;
-        if (c.attrs.empty() || c.ref_attrs.empty()) break;
-        add_role(c.element, Role::kInvExt, i, {inverse_keys_[i].key, c.attr()});
-        add_role(c.ref_element, Role::kInvRef, i,
-                 {inverse_keys_[i].ref_key, c.ref_attr()});
-        break;
-      }
-    }
-  }
-}
+      validator_(dtd, options_.validation) {}
 
 // ---------------------------------------------------------------------------
-// StreamRun: the per-document state machine. One instance per Run();
-// all mutable state lives here, so a StreamValidator is share-safe.
+// StreamRun: the per-document state machine. One instance per run; all
+// mutable state lives here, so a StreamValidator or ConstraintChecker is
+// share-safe. Two feeds drive it: tokenizer events (Run: structure and
+// constraints) and the vertices of an in-memory tree (RunTree:
+// constraints only). Both end in the same constraint post-pass.
 
 class StreamRun {
  public:
-  StreamRun(const StreamValidator& sv, const DtdStructure& tok_dtd,
+  /// `validator` and `tok_dtd` are null for the tree feed, which makes no
+  /// structural findings and reads attribute value sets as they stand.
+  StreamRun(const ConstraintPlan& plan, const StreamOptions& options,
+            const StructuralValidator* validator, const DtdStructure* tok_dtd,
             const Deadline& deadline)
-      : sv_(sv),
+      : plan_(plan),
+        options_(options),
+        validator_(validator),
         tok_dtd_(tok_dtd),
         deadline_(deadline),
-        compile_ok_(sv.validator_.status().ok()),
-        budget_(sv.options_.spill_budget_bytes) {
-    clogs_.resize(sv_.sigma_.constraints.size());
-    if (sv_.needs_global_ids_) {
+        compile_ok_(validator != nullptr && validator->status().ok()),
+        budget_(options.spill_budget_bytes) {
+    clogs_.resize(plan_.sigma.constraints.size());
+    if (plan_.needs_global_ids) {
       global_ids_ = std::make_unique<TupleLog>(&budget_);
     }
   }
 
   StreamOutcome Run(StreamTokenizer& tok, const StreamEvent* pending);
+  ConstraintReport RunTree(const DataTree& tree);
 
  private:
-  using Role = StreamValidator::Role;
-  using TypePlan = StreamValidator::TypePlan;
+  using Role = ConstraintPlan::Role;
+  using TypePlan = ConstraintPlan::TypePlan;
 
   // Per-element-type state resolved on first sight of the label.
   struct LabelInfo {
@@ -175,12 +117,13 @@ class StreamRun {
     size_t depth;
   };
 
-  // One attribute of the start tag being handled: views into the
-  // tokenizer's event, valid until the next event is pulled.
+  // One attribute of the vertex being opened: views into the tokenizer's
+  // event, valid until the next event is pulled, or into the tree.
   struct AttrRef {
     std::string_view name;
     std::string_view value;  // raw: not yet split into tokens
     bool set_valued = false;
+    const AttrValue* values = nullptr;  // tree feed: the tokens as they stand
   };
 
   // A structural violation with its DOM emission rank: the DOM validator
@@ -215,6 +158,9 @@ class StreamRun {
   };
 
   void OnStart(const StreamEvent& ev);
+  void OnTreeVertex(const DataTree& tree, VertexId v);
+  void StepParent(Symbol label, std::string_view name);
+  void OpenFrame(uint32_t seq, Symbol label, LabelInfo& info);
   void OnEnd();
   void OnText(const StreamEvent& ev);
   Frame& Top() { return frames_[depth_ - 1]; }
@@ -250,8 +196,10 @@ class StreamRun {
   void Assemble(StreamOutcome* out);
   void AssembleConstraints(ConstraintReport* report);
 
-  const StreamValidator& sv_;
-  const DtdStructure& tok_dtd_;  // governs attribute-value tokenization
+  const ConstraintPlan& plan_;
+  const StreamOptions& options_;
+  const StructuralValidator* validator_;  // null: tree feed
+  const DtdStructure* tok_dtd_;  // governs attribute-value tokenization
   Deadline deadline_;
   bool compile_ok_;
 
@@ -289,22 +237,24 @@ StreamRun::LabelInfo& StreamRun::Prepare(Symbol label, std::string_view name) {
   LabelInfo& info = labels_[label];
   if (info.prepared) return info;
   info.prepared = true;
-  info.plan = sv_.validator_.PlanFor(name);
+  if (validator_ != nullptr) info.plan = validator_->PlanFor(name);
   if (info.plan.has_value() && info.plan->automaton != nullptr) {
     info.text_alpha = info.plan->automaton->FindAlphabetId(kStringSymbol);
   }
-  auto it = sv_.type_plans_.find(name);
-  if (it != sv_.type_plans_.end()) info.tplan = &it->second;
+  auto it = plan_.type_plans.find(name);
+  if (it != plan_.type_plans.end()) info.tplan = &it->second;
   if (global_ids_ != nullptr) {
-    std::optional<std::string> id = sv_.dtd_.IdAttribute(std::string(name));
+    std::optional<std::string> id = plan_.dtd.IdAttribute(std::string(name));
     if (id.has_value()) {
       info.has_id_attr = true;
       info.id_attr = std::move(*id);
     }
   }
-  for (std::string& attr : tok_dtd_.Attributes(std::string(name))) {
-    if (tok_dtd_.IsSetValued(name, attr)) {
-      info.set_valued.push_back(std::move(attr));
+  if (tok_dtd_ != nullptr) {
+    for (std::string& attr : tok_dtd_->Attributes(std::string(name))) {
+      if (tok_dtd_->IsSetValued(name, attr)) {
+        info.set_valued.push_back(std::move(attr));
+      }
     }
   }
   return info;
@@ -327,6 +277,10 @@ const StreamRun::AttrRef* StreamRun::FindAttr(std::string_view name) const {
 
 void StreamRun::Tokenize(const AttrRef& a) {
   tokens_.clear();
+  if (a.values != nullptr) {
+    tokens_.assign(a.values->begin(), a.values->end());
+    return;
+  }
   if (!a.set_valued) {
     tokens_.push_back(a.value);
     return;
@@ -345,7 +299,7 @@ void StreamRun::OnText(const StreamEvent& ev) {
     run_prefix_.clear();
   }
   if (!run_qualified_) {
-    if (sv_.options_.skip_ignorable_whitespace && ev.text_all_space) {
+    if (options_.skip_ignorable_whitespace && ev.text_all_space) {
       // The run may still qualify on a later chunk; keep the prefix only
       // if someone would consume it.
       if (!captures_.empty()) run_prefix_.append(ev.text);
@@ -366,31 +320,33 @@ void StreamRun::OnText(const StreamEvent& ev) {
   AppendToCaptures(ev.text);
 }
 
-void StreamRun::OnStart(const StreamEvent& ev) {
-  CloseRun();
-  const Symbol label = syms_.Intern(ev.name);
-
-  // Parent bookkeeping: the child steps the parent's content-model run,
-  // and may be the unique sub-element some parent field captures.
-  if (depth_ > 0) {
-    Frame& parent = Top();
-    if (parent.track_word) {
-      parent.word.push_back(label);
-      parent.info->plan->automaton->Step(&parent.run,
-                                         AlphaOf(*parent.info, label));
-    }
-    if (parent.info->tplan != nullptr) {
-      const std::vector<std::string>& names = parent.info->tplan->fields;
-      for (size_t i = 0; i < names.size(); ++i) {
-        FieldState& fs = parent.fields[i];
-        if (fs.kind == FieldState::kCapture && names[i] == ev.name) {
-          if (++fs.captures == 1) {
-            captures_.push_back(Capture{depth_ - 1, i, depth_ + 1});
-          }
+void StreamRun::StepParent(Symbol label, std::string_view name) {
+  if (depth_ == 0) return;
+  Frame& parent = Top();
+  if (parent.track_word) {
+    parent.word.push_back(label);
+    parent.info->plan->automaton->Step(&parent.run,
+                                       AlphaOf(*parent.info, label));
+  }
+  if (parent.info->tplan != nullptr) {
+    const std::vector<std::string>& names = parent.info->tplan->fields;
+    for (size_t i = 0; i < names.size(); ++i) {
+      FieldState& fs = parent.fields[i];
+      if (fs.kind == FieldState::kCapture && names[i] == name) {
+        if (++fs.captures == 1) {
+          captures_.push_back(Capture{depth_ - 1, i, depth_ + 1});
         }
       }
     }
   }
+}
+
+void StreamRun::OnStart(const StreamEvent& ev) {
+  CloseRun();
+  const Symbol label = syms_.Intern(ev.name);
+  // The child steps the parent's content-model run, and may be the
+  // unique sub-element some parent field captures.
+  StepParent(label, ev.name);
 
   const uint32_t seq = next_seq_++;
   LabelInfo& info = Prepare(label, ev.name);
@@ -412,9 +368,9 @@ void StreamRun::OnStart(const StreamEvent& ev) {
   // Structural checks at the start tag (the content model waits for the
   // end tag; Rank() restores the DOM emission order).
   if (compile_ok_) {
-    if (seq == 0 && ev.name != sv_.dtd_.root()) {
+    if (seq == 0 && ev.name != plan_.dtd.root()) {
       AddSViol(0, Rank(0, 0), "root labeled " + std::string(ev.name) +
-                                  ", expected " + sv_.dtd_.root());
+                                  ", expected " + plan_.dtd.root());
     }
     if (!info.plan.has_value()) {
       AddSViol(seq, Rank(1, 0),
@@ -445,7 +401,7 @@ void StreamRun::OnStart(const StreamEvent& ev) {
                        std::to_string(tokens_.size()) + " values");
         }
       }
-      if (!sv_.options_.validation.allow_missing_attributes &&
+      if (!options_.validation.allow_missing_attributes &&
           declared_present != names.size()) {
         for (size_t j = 0; j < names.size(); ++j) {
           if (FindAttr(names[j]) == nullptr) {
@@ -458,6 +414,28 @@ void StreamRun::OnStart(const StreamEvent& ev) {
     }
   }
 
+  OpenFrame(seq, label, info);
+}
+
+void StreamRun::OnTreeVertex(const DataTree& tree, VertexId v) {
+  const Symbol label = tree.label_symbol(v);
+  const std::string& name = tree.label(v);
+  StepParent(label, name);
+  LabelInfo& info = Prepare(label, name);
+  // Only fields and the ID table read attributes here. The tree keeps a
+  // vertex's attributes sorted by name already.
+  attrs_.clear();
+  if (info.tplan != nullptr || info.has_id_attr) {
+    for (const DataTree::AttrEntry& e : tree.attributes(v).entries()) {
+      attrs_.push_back(
+          AttrRef{tree.symbols().name(e.name), {}, false, &e.value});
+    }
+  }
+  OpenFrame(v, label, info);
+}
+
+// Shared by both feeds once attrs_ holds the vertex's attributes.
+void StreamRun::OpenFrame(uint32_t seq, Symbol label, LabelInfo& info) {
   // Global ID table entry.
   if (global_ids_ != nullptr && info.has_id_attr && !spill_failed_) {
     if (const AttrRef* a = FindAttr(info.id_attr)) {
@@ -709,17 +687,65 @@ StreamOutcome StreamRun::Run(StreamTokenizer& tok,
   return out;
 }
 
+ConstraintReport StreamRun::RunTree(const DataTree& tree) {
+  ConstraintReport report;
+  // Parentless vertices first (the root, then detached subtrees), then
+  // whatever only a parent cycle reaches: ExtentIndex counts every
+  // vertex, so the walk visits each one once.
+  std::vector<bool> seen(tree.size());
+  std::vector<std::pair<VertexId, size_t>> stack;  // vertex, next child
+  size_t visited = 0;
+  auto open = [&](VertexId v) {
+    if ((visited++ & 0x3FF) == 0) {
+      if (Status s = deadline_.Check("constraint check"); !s.ok()) {
+        report.status = std::move(s);
+        return false;
+      }
+    }
+    seen[v] = true;
+    OnTreeVertex(tree, v);
+    stack.emplace_back(v, 0);
+    return true;
+  };
+  for (bool cycles : {false, true}) {
+    for (VertexId top = 0; top < tree.size(); ++top) {
+      if (seen[top] || (!cycles && tree.parent(top) != kInvalidVertex)) {
+        continue;
+      }
+      if (!open(top)) return report;
+      while (!stack.empty()) {
+        auto& [v, next] = stack.back();
+        const std::vector<Child>& children = tree.children(v);
+        if (next == children.size()) {
+          OnEnd();
+          stack.pop_back();
+          continue;
+        }
+        const Child& child = children[next++];
+        if (const std::string* text = std::get_if<std::string>(&child)) {
+          AppendToCaptures(*text);  // every text child counts
+        } else if (VertexId w = std::get<VertexId>(child); !seen[w]) {
+          if (!open(w)) return report;
+        }
+      }
+    }
+  }
+  AssembleConstraints(&report);
+  report.steps = field_steps_;
+  return report;
+}
+
 void StreamRun::Assemble(StreamOutcome* out) {
   // Structure: restore the DOM validator's emission order.
   if (!compile_ok_) {
-    out->structure.status = sv_.validator_.status();
+    out->structure.status = validator_->status();
   } else {
     std::stable_sort(sviols_.begin(), sviols_.end(),
                      [](const SViol& a, const SViol& b) {
                        if (a.seq != b.seq) return a.seq < b.seq;
                        return a.rank < b.rank;
                      });
-    const size_t cap = sv_.options_.validation.max_violations;
+    const size_t cap = options_.validation.max_violations;
     if (cap != 0 && sviols_.size() > cap) sviols_.resize(cap);
     out->structure.violations.reserve(sviols_.size());
     for (SViol& v : sviols_) {
@@ -739,7 +765,7 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
     report->status = spill_error_;
     return;
   }
-  const size_t cap = sv_.options_.check.max_violations;
+  const size_t cap = options_.check.max_violations;
   auto full = [&] { return cap != 0 && report->violations.size() >= cap; };
   auto add = [&](size_t index, std::string msg, std::vector<VertexId> wit,
                  std::vector<std::string> values = {}) {
@@ -787,12 +813,12 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
   };
   std::vector<PV> pvs;
 
-  for (size_t i = 0; i < sv_.sigma_.constraints.size() && !full(); ++i) {
+  for (size_t i = 0; i < plan_.sigma.constraints.size() && !full(); ++i) {
     if (Status s = deadline_.Check("constraint check"); !s.ok()) {
       report->status = std::move(s);
       return;
     }
-    const Constraint& c = sv_.sigma_.constraints[i];
+    const Constraint& c = plan_.sigma.constraints[i];
     CLogs& cl = clogs_[i];
     for (std::unique_ptr<TupleLog>* log : {&cl.ext, &cl.target}) {
       if (*log != nullptr) {
@@ -896,7 +922,7 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
       }
 
       case ConstraintKind::kInverse: {
-        const StreamValidator::InverseKeys& ik = sv_.inverse_keys_[i];
+        const ConstraintPlan::InverseKeys& ik = plan_.inverse_keys[i];
         if (ik.key.empty() || ik.ref_key.empty()) {
           add(i, "inverse constraint lacks key attributes", {});
           break;
@@ -923,7 +949,7 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
                            const std::string& val) {
           return std::binary_search(set.begin(), set.end(), val);
         };
-        // The checker's four passes, in its exact emission order.
+        // Four passes, in NaiveCheck's exact emission order.
         for (const CLogs::InvEntry& x : cl.inv_ext) {
           if (full()) break;
           if (!x.has_set) continue;
@@ -1006,7 +1032,7 @@ StreamOutcome StreamValidator::RunCore(StreamTokenizer& tok,
                                        const StreamEvent* pending,
                                        const DtdStructure& tok_dtd,
                                        const Deadline& deadline) const {
-  StreamRun run(*this, tok_dtd, deadline);
+  StreamRun run(plan_, options_, &validator_, &tok_dtd, deadline);
   return run.Run(tok, pending);
 }
 
@@ -1043,7 +1069,7 @@ StreamOutcome StreamValidator::Run(ByteSource& source,
   } else {
     pending = &ev;
   }
-  return RunCore(tok, pending, doc_dtd.has_value() ? *doc_dtd : dtd_,
+  return RunCore(tok, pending, doc_dtd.has_value() ? *doc_dtd : plan_.dtd,
                  deadline);
 }
 
@@ -1112,6 +1138,17 @@ SelfDescribingStreamResult StreamValidateSelfDescribing(
   }
   if (r.outcome.parse.ok() && !deferred.ok()) r.outcome.parse = deferred;
   return r;
+}
+
+ConstraintReport CheckTreeConstraints(const ConstraintPlan& plan,
+                                      const DataTree& tree,
+                                      size_t max_violations,
+                                      const Deadline& deadline) {
+  StreamOptions options;
+  options.check.max_violations = max_violations;
+  options.spill_budget_bytes = 0;  // the tree is in memory: never spill
+  StreamRun run(plan, options, nullptr, nullptr, deadline);
+  return run.RunTree(tree);
 }
 
 }  // namespace xic

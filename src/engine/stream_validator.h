@@ -42,16 +42,18 @@
 // tests/stream_alloc_test.cc pins the constant allocation count.
 //
 // Verdict parity: vertex ids equal the DOM parser's pre-order AddVertex
-// ids, violations are re-ordered to the DOM checkers' emission order,
-// and messages reuse the same rendering, so ValidationReport::ToString()
-// and ConstraintReport::ToString() are byte-identical to the
-// materialized pipeline on every document (pinned by the stream oracle
-// in src/fuzzing/ and tests/stream_test.cc).
+// ids, so this text feed over a document and the tree feed
+// (CheckTreeConstraints) over its parsed tree append the same records to
+// the same post-pass. Structural violations are re-ordered to the DOM
+// validator's emission order, constraint violations to vertex order per
+// constraint, and messages reuse the same rendering, so
+// ValidationReport::ToString() and ConstraintReport::ToString() are
+// byte-identical to the materialized pipeline on every document (pinned
+// by the stream oracle in src/fuzzing/ and tests/stream_test.cc).
 
 #ifndef XIC_ENGINE_STREAM_VALIDATOR_H_
 #define XIC_ENGINE_STREAM_VALIDATOR_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -71,8 +73,7 @@ struct StreamOptions {
   /// Structural-check options (allow_missing_attributes, max_violations;
   /// limits.max_automaton_states bounds content-model compilation).
   ValidationOptions validation;
-  /// Constraint-check options (max_violations; `naive` is meaningless
-  /// here and ignored -- the streaming evaluation is merge-join based).
+  /// Constraint-check options (max_violations).
   CheckOptions check;
   /// Input bounds for the tokenizer (document bytes, depth, attributes,
   /// expansion), with the DOM parser's exact kResourceExhausted texts.
@@ -142,7 +143,6 @@ class StreamValidator {
                     const ResourceLimits& limits) const;
 
  private:
-  friend class StreamRun;
   friend SelfDescribingStreamResult StreamValidateSelfDescribing(
       ByteSource& source, const StreamOptions& options);
 
@@ -154,45 +154,9 @@ class StreamValidator {
                         const DtdStructure& tok_dtd,
                         const Deadline& deadline) const;
 
-  /// Per-constraint-position extraction roles of one element type.
-  struct Role {
-    enum Kind {
-      kKeyTuple,   // ext(tau) of a key: encoded tuple -> ext log
-      kFkTuple,    // ext(tau) of a foreign key: tuple -> ext log
-      kFkTarget,   // ext(tau') of a foreign key: tuple -> target log
-      kSfkSource,  // ext(tau) of a set-valued FK: each value -> ext log
-      kSfkTarget,  // ext(tau') of a set-valued FK: value -> target log
-      kIdExt,      // ext(tau) of an ID constraint: value -> ext log
-      kInvExt,     // ext(tau) of an inverse: (key, set) -> in-memory
-      kInvRef,     // ext(tau') of an inverse: (key, set) -> in-memory
-    };
-    Kind kind;
-    size_t constraint;
-    std::vector<size_t> fields;  // indexes into TypePlan::fields
-  };
-
-  /// Everything the stream must extract from vertices of one type.
-  struct TypePlan {
-    std::vector<std::string> fields;  // distinct field names
-    /// Parallel: declared as an attribute in the DTD? (A declared-but-
-    /// absent attribute is a missing field, never a sub-element -- the
-    /// checker's FieldValue contract.)
-    std::vector<bool> field_declared;
-    std::vector<Role> roles;
-  };
-
-  const DtdStructure& dtd_;
-  const ConstraintSet& sigma_;
+  ConstraintPlan plan_;
   StreamOptions options_;
   StructuralValidator validator_;
-  std::map<std::string, TypePlan, std::less<>> type_plans_;
-  /// Resolved inverse key attributes, parallel to sigma (the checker's
-  /// compiled plan).
-  struct InverseKeys {
-    std::string key, ref_key;
-  };
-  std::vector<InverseKeys> inverse_keys_;
-  bool needs_global_ids_ = false;
 };
 
 /// One-shot streaming check of a *self-describing* document (DTD^C in
@@ -214,6 +178,19 @@ struct SelfDescribingStreamResult {
 };
 SelfDescribingStreamResult StreamValidateSelfDescribing(
     ByteSource& source, const StreamOptions& options = {});
+
+/// The tree feed, behind ConstraintChecker::Check: the constraint half of
+/// the engine run over an in-memory tree instead of tokenizer events.
+/// Each vertex's seq is its own VertexId; every vertex is visited (the
+/// root's subtree first, then vertices no path from the root reaches);
+/// attribute value sets are the token sets as they stand; every text
+/// child counts. The logs never spill (budget 0: the tree is already in
+/// memory), no structural findings are made, and the deadline is polled
+/// every 1,024 vertices and between constraints.
+ConstraintReport CheckTreeConstraints(const ConstraintPlan& plan,
+                                      const DataTree& tree,
+                                      size_t max_violations,
+                                      const Deadline& deadline);
 
 }  // namespace xic
 

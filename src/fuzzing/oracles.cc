@@ -141,32 +141,35 @@ CorpusEntry MakeEntry(OracleId oracle, uint64_t seed, std::string note,
   return entry;
 }
 
-// -- Oracle 1: naive vs. fast ConstraintChecker ---------------------------
+// -- Oracle 1: NaiveCheck vs. ConstraintChecker (the tree feed) -----------
+
+// The rendered reports of the two at one max_violations, or nullopt when
+// they agree.
+std::optional<std::string> CompareWithNaive(const DtdStructure& dtd,
+                                            const ConstraintSet& sigma,
+                                            const DataTree& tree,
+                                            const ConstraintReport& report,
+                                            size_t max_violations) {
+  ConstraintReport naive = NaiveCheck(dtd, sigma, tree, max_violations);
+  if (!report.status.ok()) {
+    return "checker status not OK: " + report.status.ToString();
+  }
+  if (RenderReport(report) != RenderReport(naive)) {
+    return "NaiveCheck and the engine diverge (max_violations=" +
+           std::to_string(max_violations) + ")\n--- engine ---\n" +
+           RenderReport(report) + "--- naive ---\n" + RenderReport(naive);
+  }
+  return std::nullopt;
+}
 
 std::optional<std::string> CompareCheckerModes(const DtdStructure& dtd,
                                                const ConstraintSet& sigma,
                                                const DataTree& tree) {
   for (size_t max_violations : {size_t{0}, size_t{1}, size_t{2}}) {
-    CheckOptions fast_options;
-    fast_options.max_violations = max_violations;
-    CheckOptions naive_options = fast_options;
-    naive_options.naive = true;
-    ConstraintChecker fast(dtd, sigma, fast_options);
-    ConstraintChecker naive(dtd, sigma, naive_options);
-    ConstraintReport fast_report = fast.Check(tree);
-    ConstraintReport naive_report = naive.Check(tree);
-    if (!fast_report.status.ok() || !naive_report.status.ok()) {
-      return "checker status not OK: fast=" +
-             fast_report.status.ToString() +
-             " naive=" + naive_report.status.ToString();
-    }
-    std::string fast_rendering = RenderReport(fast_report);
-    std::string naive_rendering = RenderReport(naive_report);
-    if (fast_rendering != naive_rendering) {
-      return "naive/fast reports diverge (max_violations=" +
-             std::to_string(max_violations) + ")\n--- fast ---\n" +
-             fast_rendering + "--- naive ---\n" + naive_rendering;
-    }
+    ConstraintChecker checker(dtd, sigma, {.max_violations = max_violations});
+    std::optional<std::string> detail = CompareWithNaive(
+        dtd, sigma, tree, checker.Check(tree), max_violations);
+    if (detail.has_value()) return detail;
   }
   return std::nullopt;
 }
@@ -605,10 +608,13 @@ std::string RenderValidation(const ValidationReport& report) {
 }
 
 // Runs the full xicheck pipeline both ways -- materialized
-// (ParseDocumentWithDtdC + StructuralValidator + ConstraintChecker) and
-// streaming (StreamValidateSelfDescribing) -- and demands byte-identical
-// verdicts at every stage. `text` need not be well-formed XML: a parse
-// failure is itself compared (same status text, same position).
+// (ParseDocumentWithDtdC + StructuralValidator + ConstraintChecker, the
+// engine's tree feed) and streaming (StreamValidateSelfDescribing, its
+// text feed) -- and demands byte-identical verdicts at every stage. Both
+// constraint reports share one evaluator, so the tree's is also held to
+// NaiveCheck, the independent reference. `text` need not be well-formed
+// XML: a parse failure is itself compared (same status text, same
+// position).
 std::optional<std::string> CompareStream(const std::string& text,
                                          size_t spill_budget,
                                          bool allow_missing) {
@@ -687,7 +693,8 @@ std::optional<std::string> CompareStream(const std::string& text,
            dom_report.ToString(sigma) + "--- stream ---\n" +
            s.outcome.constraints.ToString(sigma);
   }
-  return std::nullopt;
+  return CompareWithNaive(dtd, sigma, doc.document.tree, dom_report,
+                          sopt.check.max_violations);
 }
 
 // Every committed stream entry is replayed across this budget/option

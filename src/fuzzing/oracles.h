@@ -4,9 +4,9 @@
 // paper semantics against each other (DESIGN.md "Differential testing"
 // has the full trust hierarchy):
 //
-//   kChecker      naive (nested-loop) vs. fast (hash-index)
-//                 ConstraintChecker: identical violation reports, also
-//                 under max_violations truncation.
+//   kChecker      NaiveCheck (nested loops) vs. ConstraintChecker (the
+//                 streaming engine's tree feed): identical violation
+//                 reports, also under max_violations truncation.
 //   kIncremental  IncrementalChecker replaying an update sequence vs. a
 //                 batch re-check of its tree after *every* operation;
 //                 rejected operations must leave the verdict unchanged.
@@ -26,11 +26,13 @@
 //                 reading through the tokenizer's window in 64-byte
 //                 reads, spill budgets from never-spill to
 //                 spill-everything) vs. the materialized DOM pipeline
-//                 (ParseXml reading in place): parse status, structure
-//                 report and constraint report must agree byte-for-byte,
-//                 witnesses included. A third of trials corrupt the
-//                 serialized bytes so the two paths' error texts and
-//                 positions are compared too.
+//                 (ParseXml reading in place, then the engine's tree
+//                 feed): parse status, structure report and constraint
+//                 report must agree byte-for-byte, witnesses included,
+//                 and the tree's constraint report must equal
+//                 NaiveCheck's. A third of trials corrupt the serialized
+//                 bytes so the two paths' error texts and positions are
+//                 compared too.
 //
 // Every oracle has two entry points sharing one comparison core: a
 // seed-driven trial (generate inputs, compare) and a corpus replay

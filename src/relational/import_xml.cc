@@ -2,8 +2,6 @@
 
 #include <set>
 
-#include "constraints/checker.h"
-
 namespace xic {
 
 namespace {

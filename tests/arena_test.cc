@@ -1,118 +1,27 @@
-// The memory-layout primitives behind the batch pipeline: the Arena bump
-// allocator (per-worker scratch, Reset() between documents) and the
-// SymbolTable (interned element/attribute names -> dense uint32 ids).
+// The SymbolTable (interned element/attribute names -> dense uint32 ids)
+// behind the data tree and the engine's label tables. The name is
+// historical: the file also pinned a per-document bump allocator, which
+// is gone.
 //
-// The properties pinned here are the ones the engine's determinism and
-// steady-state-allocation guarantees rest on:
-//   * arena Reset() reuses blocks instead of growing (no per-document
-//     shared-allocator traffic once warm),
+// The properties pinned here are the ones the engine's determinism
+// guarantees rest on:
 //   * symbol ids depend only on the Intern() call sequence, never on
 //     which thread runs it,
 //   * copying a table rebuilds its string_view index over the copied
 //     strings (regression: the defaulted copy kept views into the
 //     source's storage, so lookups on the copy dangled).
 
-#include <cstdint>
-#include <cstring>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/arena.h"
 #include "util/symbol_table.h"
 
 namespace {
 
 using namespace xic;
-
-// -- Arena -------------------------------------------------------------------
-
-TEST(Arena, AllocateRespectsAlignment) {
-  Arena arena;
-  for (size_t align : {1u, 2u, 4u, 8u, 16u, 64u}) {
-    void* p = arena.Allocate(3, align);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u)
-        << "align " << align;
-  }
-}
-
-TEST(Arena, AllocationsDoNotOverlap) {
-  Arena arena;
-  std::vector<char*> chunks;
-  for (int i = 0; i < 200; ++i) {
-    char* p = static_cast<char*>(arena.Allocate(17, 1));
-    std::memset(p, i & 0xFF, 17);
-    chunks.push_back(p);
-  }
-  for (int i = 0; i < 200; ++i) {
-    for (int j = 0; j < 17; ++j) {
-      ASSERT_EQ(static_cast<unsigned char>(chunks[i][j]), i & 0xFF)
-          << "chunk " << i << " byte " << j;
-    }
-  }
-}
-
-TEST(Arena, CopyStringRoundTripsAndStaysStable) {
-  Arena arena;
-  std::string original = "a value long enough to defeat any SSO buffer";
-  std::string_view copy = arena.CopyString(original);
-  EXPECT_EQ(copy, original);
-  EXPECT_NE(copy.data(), original.data());
-  // Later allocations must not clobber earlier copies.
-  for (int i = 0; i < 1000; ++i) arena.CopyString("filler-filler-filler");
-  EXPECT_EQ(copy, original);
-  EXPECT_TRUE(arena.CopyString("").empty());
-}
-
-TEST(Arena, ResetReusesBlocksInsteadOfGrowing) {
-  Arena arena;
-  // Warm up: ~100 KB across doubling blocks.
-  auto churn = [&] {
-    for (int i = 0; i < 100; ++i) arena.Allocate(1024, 8);
-  };
-  churn();
-  EXPECT_GT(arena.num_blocks(), 1u);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // Steady state: Reset() keeps the largest block, which fits the whole
-  // per-document working set, so repeating the same workload never asks
-  // the shared allocator for another block.
-  arena.Reset();
-  size_t steady = arena.num_blocks();
-  for (int round = 0; round < 10; ++round) {
-    churn();
-    arena.Reset();
-    EXPECT_LE(arena.num_blocks(), steady) << "round " << round;
-  }
-}
-
-TEST(Arena, OversizedAllocationGetsDedicatedBlock) {
-  Arena arena;
-  size_t big = Arena::kMaxBlockBytes + 4096;
-  char* p = static_cast<char*>(arena.Allocate(big, 8));
-  ASSERT_NE(p, nullptr);
-  p[0] = 'x';
-  p[big - 1] = 'y';  // the whole range must be addressable
-  EXPECT_EQ(p[0], 'x');
-  EXPECT_EQ(p[big - 1], 'y');
-}
-
-TEST(Arena, ArenaVectorAndHashMapWork) {
-  Arena arena;
-  ArenaVector<int> v{ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 10000; ++i) v.push_back(i);
-  for (int i = 0; i < 10000; ++i) ASSERT_EQ(v[i], i);
-
-  std::unordered_map<int, int, std::hash<int>, std::equal_to<int>,
-                     ArenaAllocator<std::pair<const int, int>>>
-      m(8, ArenaAllocator<std::pair<const int, int>>(&arena));
-  for (int i = 0; i < 1000; ++i) m[i] = i * i;
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(m.at(i), i * i);
-}
 
 // -- SymbolTable ---------------------------------------------------------
 

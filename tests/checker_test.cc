@@ -75,9 +75,9 @@ TEST(Checker, NaiveModeAgrees) {
   ASSERT_TRUE(bad.ok());
   ConstraintSet sigma = BookSigma();
   for (const auto* doc : {&good.value(), &bad.value()}) {
-    ConstraintChecker indexed(*doc->dtd, sigma);
-    ConstraintChecker naive(*doc->dtd, sigma, {.naive = true});
-    EXPECT_EQ(indexed.Check(doc->tree).ok(), naive.Check(doc->tree).ok());
+    ConstraintChecker checker(*doc->dtd, sigma);
+    EXPECT_EQ(checker.Check(doc->tree).ok(),
+              NaiveCheck(*doc->dtd, sigma, doc->tree).ok());
   }
 }
 

@@ -262,10 +262,8 @@ TEST(ParityRegression, DeclaredUnsetAttributeDoesNotFallBackToSubElement) {
   // The declared attribute `k` is unset, so the field is *undefined* --
   // the batch checker must not read the unique sub-element instead.
   for (bool naive : {false, true}) {
-    CheckOptions options;
-    options.naive = naive;
-    ConstraintChecker checker(dtd, sigma, options);
-    ConstraintReport report = checker.Check(tree);
+    ConstraintReport report = naive ? NaiveCheck(dtd, sigma, tree)
+                                    : ConstraintChecker(dtd, sigma).Check(tree);
     ASSERT_TRUE(report.status.ok());
     ASSERT_EQ(report.violations.size(), 1u) << "naive=" << naive;
     EXPECT_NE(report.violations[0].message.find("key field missing"),
