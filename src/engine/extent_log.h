@@ -29,8 +29,9 @@
 // 8 payload bytes, zero-padded, sit inline as its sort key. Payloads of
 // at most 8 bytes live only there; heap_ holds only the longer ones,
 // whole, so every payload is one contiguous view. The batch sort
-// compares the key as a big-endian unsigned integer and touches heap_
-// only when two keys tie and both payloads are longer than 8 bytes.
+// compares the key as a big-endian unsigned integer inline and calls
+// EntryLess only when two keys tie; that touches heap_ only when both
+// payloads are longer than 8 bytes.
 // Invariant: that entry order equals RecordLess, the (payload bytes as
 // unsigned, seq, rank) order the scan's k-way merge of spilled runs and
 // the foreign-key merge-join both assume.

@@ -26,11 +26,25 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+Status::Status(StatusCode code, std::string message) {
+  if (code != StatusCode::kOk) {
+    rep_.reset(new Rep{code, std::move(message), std::string()});
+  }
+}
+
+void Status::RepDeleter::operator()(Rep* rep) const { delete rep; }
+
+const std::string& Status::EmptyString() {
+  // Never destroyed: a status may still be read during static destruction.
+  static const std::string* const empty = new std::string();
+  return *empty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = StatusCodeToString(code_);
+  std::string out = StatusCodeToString(rep_->code);
   out += ": ";
-  out += message_;
+  out += rep_->message;
   return out;
 }
 

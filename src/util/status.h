@@ -9,6 +9,7 @@
 #define XIC_UTIL_STATUS_H_
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -35,11 +36,28 @@ const char* StatusCodeToString(StatusCode code);
 /// [[nodiscard]]: silently dropping a Status is the error-handling
 /// equivalent of an empty catch block; callers that genuinely do not
 /// care must say so with a (void) cast and a comment.
+///
+/// Representation: one owning pointer. OK is null, so success costs no
+/// allocation and moving or destroying an OK status touches no string;
+/// an error's code, message and limit share one heap block, allocated
+/// when the error is made. Copies of an error are deep. A moved-from
+/// Status is OK.
 class [[nodiscard]] Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  Status() = default;
+  /// An OK `code` makes an OK status; the message is dropped.
+  Status(StatusCode code, std::string message);
+
+  Status(const Status& other)
+      : rep_(other.rep_ == nullptr ? nullptr : new Rep(*other.rep_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      rep_.reset(other.rep_ == nullptr ? nullptr : new Rep(*other.rep_));
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -61,12 +79,12 @@ class [[nodiscard]] Status {
   /// "max_tree_depth"); the name is recoverable via limit().
   static Status LimitExceeded(std::string limit, std::string msg) {
     Status s(StatusCode::kResourceExhausted, limit + ": " + std::move(msg));
-    s.limit_ = std::move(limit);
+    s.rep_->limit = std::move(limit);
     return s;
   }
   static Status DeadlineExceeded(std::string msg) {
     Status s(StatusCode::kDeadlineExceeded, std::move(msg));
-    s.limit_ = "deadline";
+    s.rep_->limit = "deadline";
     return s;
   }
   static Status Unavailable(std::string msg) {
@@ -76,22 +94,40 @@ class [[nodiscard]] Status {
     return Status(StatusCode::kInternal, std::move(msg));
   }
 
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  bool ok() const { return rep_ == nullptr; }
+  StatusCode code() const {
+    return rep_ == nullptr ? StatusCode::kOk : rep_->code;
+  }
+  const std::string& message() const {
+    return rep_ == nullptr ? EmptyString() : rep_->message;
+  }
   /// For kResourceExhausted / kDeadlineExceeded: the name of the limit
   /// that was exceeded ("max_tree_depth", "deadline", ...). Empty for
   /// other codes and for untagged kResourceExhausted statuses.
-  const std::string& limit() const { return limit_; }
+  const std::string& limit() const {
+    return rep_ == nullptr ? EmptyString() : rep_->limit;
+  }
 
   /// "OK" or "<Code>: <message>".
   std::string ToString() const;
 
  private:
-  StatusCode code_;
-  std::string message_;
-  std::string limit_;
+  struct Rep {
+    StatusCode code;
+    std::string message;
+    std::string limit;
+  };
+  // Out of line, so destroying a Status inlines only the null test.
+  struct RepDeleter {
+    void operator()(Rep* rep) const;
+  };
+
+  static const std::string& EmptyString();
+
+  std::unique_ptr<Rep, RepDeleter> rep_;
 };
+static_assert(sizeof(Status) == sizeof(void*),
+              "an OK Status must stay one null pointer");
 
 inline std::ostream& operator<<(std::ostream& os, const Status& s) {
   return os << s.ToString();

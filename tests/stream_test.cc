@@ -18,6 +18,7 @@
 #include "fuzzing/chunked_source.h"
 #include "fuzzing/corpus.h"
 #include "model/structural_validator.h"
+#include "obs/obs.h"
 #include "util/strings.h"
 #include "xml/dtdc_io.h"
 #include "xml/stream_tokenizer.h"
@@ -428,6 +429,52 @@ TEST(StreamSpill, CrossingTheBudgetSpillsAndPreservesTheVerdict) {
   // And both agree with the materialized checker.
   EXPECT_TRUE(VerdictsAgree(text, 4096, true));
 }
+
+#if XIC_OBS_ENABLED
+// Every extent record passes through the batch sort exactly once, whether
+// its batch spills or stays in memory, so the sort counter rises by the
+// run's record count. ID values go to the document-wide ID log, which
+// StreamStats::extent_records does not count, so this document declares
+// no ID attribute.
+TEST(StreamSpill, EveryExtentRecordIsSortedExactlyOnce) {
+  std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (t*)>\n"
+      "<!ELEMENT t EMPTY>\n"
+      "<!ATTLIST t k CDATA #REQUIRED r CDATA #REQUIRED>\n"
+      "<!-- xic:constraints language=L\n"
+      "  key t.k\n"
+      "  fk t.r -> t.k\n"
+      "-->\n"
+      "]>\n"
+      "<db>\n";
+  for (size_t i = 0; i < 3000; ++i) {
+    const std::string n = std::to_string(i);
+    text += "<t k=\"" + std::string(i % 97 == 0 ? "dup" : "k" + n) +
+            "\" r=\"" + std::string(i % 89 == 0 ? "nowhere" : "k" + n) +
+            "\"/>\n";
+  }
+  text += "</db>\n";
+  obs::Counter& sorted =
+      obs::Registry::Global().GetCounter("stream.extent_sorted_records");
+  for (size_t budget : {size_t{0}, size_t{4096}, size_t{64} << 20}) {
+    StreamOptions options;
+    options.spill_budget_bytes = budget;
+    StringSource source(text);
+    const uint64_t before = sorted.value();
+    SelfDescribingStreamResult run =
+        StreamValidateSelfDescribing(source, options);
+    ASSERT_TRUE(run.outcome.parse.ok()) << run.outcome.parse;
+    EXPECT_FALSE(run.outcome.constraints.ok()) << budget;
+    EXPECT_EQ(run.outcome.stats.spill_runs > 0, budget == 4096) << budget;
+    // One record per <t> in each of three logs: the key's extent and the
+    // foreign key's source and target.
+    EXPECT_EQ(run.outcome.stats.extent_records, 9000u) << budget;
+    EXPECT_EQ(sorted.value() - before, run.outcome.stats.extent_records)
+        << "spill budget " << budget;
+  }
+}
+#endif  // XIC_OBS_ENABLED
 
 TEST(StreamParity, TruncationAndStrictAttributesMatch) {
   // max_violations truncation must keep the DOM checkers' prefix, and

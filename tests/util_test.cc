@@ -22,6 +22,68 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(s.ToString(), "ParseError: bad token");
 }
 
+TEST(StatusTest, OkHasEmptyMessageAndLimit) {
+  Status s = Status::OK();
+  EXPECT_TRUE(s.message().empty());
+  EXPECT_TRUE(s.limit().empty());
+  EXPECT_TRUE(Status(StatusCode::kOk, "ignored").ok());
+  EXPECT_TRUE(Status::ParseError("x").limit().empty());
+}
+
+TEST(StatusTest, LimitAndDeadlineKeepTheirLimit) {
+  Status limit = Status::LimitExceeded("max_tree_depth", "too deep");
+  EXPECT_EQ(limit.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(limit.limit(), "max_tree_depth");
+  EXPECT_EQ(limit.message(), "max_tree_depth: too deep");
+  Status deadline = Status::DeadlineExceeded("late");
+  EXPECT_EQ(deadline.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(deadline.limit(), "deadline");
+  EXPECT_EQ(deadline.message(), "late");
+}
+
+TEST(StatusTest, CopyOfAnErrorIsIndependent) {
+  Status copy;
+  {
+    Status original = Status::LimitExceeded("max_bytes", "big");
+    copy = original;
+    Status constructed(original);
+    original = Status::Internal("changed");
+    EXPECT_EQ(constructed.code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(constructed.limit(), "max_bytes");
+  }
+  // The original is gone; the copy still owns its own block.
+  EXPECT_EQ(copy.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(copy.message(), "max_bytes: big");
+  EXPECT_EQ(copy.limit(), "max_bytes");
+  copy = Status::OK();
+  EXPECT_TRUE(copy.ok());
+  EXPECT_TRUE(copy.message().empty());
+}
+
+TEST(StatusTest, SelfAssignmentKeepsTheStatus) {
+  Status s = Status::DeadlineExceeded("late");
+  Status& alias = s;
+  s = alias;
+  EXPECT_EQ(s.ToString(), "DeadlineExceeded: late");
+  EXPECT_EQ(s.limit(), "deadline");
+  s = std::move(alias);
+  EXPECT_EQ(s.ToString(), "DeadlineExceeded: late");
+  EXPECT_EQ(s.limit(), "deadline");
+}
+
+TEST(StatusTest, MoveCarriesCodeMessageAndLimit) {
+  Status source = Status::LimitExceeded("max_depth", "deep");
+  Status moved(std::move(source));
+  EXPECT_EQ(moved.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(moved.message(), "max_depth: deep");
+  EXPECT_EQ(moved.limit(), "max_depth");
+  Status assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(assigned.message(), "max_depth: deep");
+  EXPECT_EQ(assigned.limit(), "max_depth");
+}
+
 TEST(StatusTest, AllCodesHaveNames) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kOk), "OK");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kInvalidArgument),
@@ -47,6 +109,17 @@ TEST(ResultTest, HoldsError) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(r.value_or(7), 7);
+}
+
+TEST(ResultTest, ErrorComesBackUnchanged) {
+  Result<std::string> r(Status::LimitExceeded("max_bytes", "too big"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r.status().message(), "max_bytes: too big");
+  EXPECT_EQ(r.status().limit(), "max_bytes");
+  Result<std::string> copy = r;
+  EXPECT_EQ(copy.status().ToString(), r.status().ToString());
+  EXPECT_EQ(copy.status().limit(), "max_bytes");
 }
 
 TEST(ResultTest, MoveOutValue) {
