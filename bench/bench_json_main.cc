@@ -30,33 +30,12 @@
 #include <string>
 #include <vector>
 
+#include "util/json_writer.h"
+
 namespace {
 
 std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
+  return "\"" + xic::util::JsonWriter::Escape(s) + "\"";
 }
 
 std::string FormatDouble(double v) {

@@ -26,8 +26,6 @@
 // resource limit, deadline, injected fault or exception -- "could not
 // check" rather than "invalid").
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -119,18 +117,6 @@ int Usage() {
   return 2;
 }
 
-// A decimal number: strtoul alone would accept a sign and wrap "-1" to
-// ULONG_MAX.
-bool ParseCount(const char* text, unsigned long* out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long value = std::strtoul(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,38 +128,38 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    unsigned long count = 0;
+    uint64_t count = 0;
     bool obs_error = false;
     if (ObsParseFlag(argc, argv, &i, &obs_options, &obs_error)) {
       if (obs_error) return Usage();
     } else if (arg == "--json" && i + 1 < argc) {
       json_out = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--threads: not a number: " << argv[i] << "\n";
         return Usage();
       }
       threads = count;
     } else if (arg == "--max-depth" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--max-depth: not a number: " << argv[i] << "\n";
         return Usage();
       }
       options.limits.max_tree_depth = count;
     } else if (arg == "--max-bytes" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--max-bytes: not a number: " << argv[i] << "\n";
         return Usage();
       }
       options.limits.max_document_bytes = count;
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--timeout-ms: not a number: " << argv[i] << "\n";
         return Usage();
       }
       options.document_timeout_ms = count;
     } else if (arg == "--retries" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--retries: not a number: " << argv[i] << "\n";
         return Usage();
       }
@@ -181,7 +167,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stream") {
       // Accepted for compatibility: streaming is the only pipeline.
     } else if (arg == "--spill-mb" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--spill-mb: not a number: " << argv[i] << "\n";
         return Usage();
       }
@@ -200,7 +186,7 @@ int main(int argc, char** argv) {
       }
       options.faults.rate = rate;
     } else if (arg == "--fault-seed" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--fault-seed: not a number: " << argv[i] << "\n";
         return Usage();
       }
@@ -212,7 +198,7 @@ int main(int argc, char** argv) {
       return 2;
 #endif
     } else if (arg == "--generate" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count) || count > 10'000'000) {
+      if (!ParseDecimal(argv[++i], &count) || count > 10'000'000) {
         std::cerr << "--generate: not a valid count: " << argv[i] << "\n";
         return Usage();
       }

@@ -23,6 +23,7 @@
 // Exit codes: 0 clean shutdown, 2 bad usage / bind failure.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <cstdlib>
@@ -32,6 +33,7 @@
 
 #include "obs_cli.h"
 #include "serve/server.h"
+#include "util/strings.h"
 
 using namespace xic;
 using namespace xic::serve;
@@ -85,13 +87,6 @@ int Usage() {
   return 2;
 }
 
-bool ParseCount(const char* text, unsigned long* out) {
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoul(text, &end, 10);
-  return errno == 0 && end != text && *end == '\0';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,52 +96,52 @@ int main(int argc, char** argv) {
   unsigned long prom_interval_ms = 1000;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    unsigned long count = 0;
+    uint64_t count = 0;
     bool obs_error = false;
     if (ObsParseFlag(argc, argv, &i, &obs_options, &obs_error)) {
       if (obs_error) return Usage();
     } else if (arg == "--host" && i + 1 < argc) {
       options.host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count) || count > 65535) {
+      if (!ParseDecimal(argv[++i], &count) || count > 65535) {
         std::cerr << "--port: not a port: " << argv[i] << "\n";
         return Usage();
       }
       options.port = static_cast<uint16_t>(count);
     } else if (arg == "--threads" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.num_threads = count;
     } else if (arg == "--queue-depth" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count) || count == 0) return Usage();
+      if (!ParseDecimal(argv[++i], &count) || count == 0) return Usage();
       options.max_queue_depth = count;
     } else if (arg == "--cache-bytes" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.dispatcher.cache.max_bytes = count;
     } else if (arg == "--negative-ttl-ms" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.dispatcher.cache.negative_ttl_ms = count;
     } else if (arg == "--max-sessions" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.dispatcher.sessions.max_sessions = count;
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.dispatcher.default_deadline_ms = count;
     } else if (arg == "--read-timeout-ms" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.read_timeout_ms = count;
     } else if (arg == "--backoff-ms" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.dispatcher.backoff.initial_delay_ms = count;
     } else if (arg == "--prom-out" && i + 1 < argc) {
       prom_out = argv[++i];
     } else if (arg == "--prom-interval-ms" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count) || count == 0) return Usage();
+      if (!ParseDecimal(argv[++i], &count) || count == 0) return Usage();
       prom_interval_ms = count;
     } else if (arg == "--flightrec-capacity" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.dispatcher.flight_recorder.capacity = count;
     } else if (arg == "--slow-us" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.dispatcher.flight_recorder.slow_threshold_us = count;
 #ifdef XIC_FAULT_INJECTION
     } else if (arg == "--fault-rate" && i + 1 < argc) {
@@ -158,7 +153,7 @@ int main(int argc, char** argv) {
       }
       options.dispatcher.faults.rate = rate;
     } else if (arg == "--fault-seed" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], &count)) return Usage();
+      if (!ParseDecimal(argv[++i], &count)) return Usage();
       options.dispatcher.faults.seed = count;
     } else if (arg == "--fault-throw") {
       options.dispatcher.faults.throw_exceptions = true;

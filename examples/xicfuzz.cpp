@@ -6,8 +6,8 @@
 //
 // Options:
 //   --oracle NAME   oracle family to run: checker, incremental,
-//                   implication, roundtrip, lint, or all (default all);
-//                   repeatable
+//                   implication, roundtrip, lint, stream, or all
+//                   (default all); repeatable
 //   --seeds N       first seed of the deterministic seed range (default 1)
 //   --trials N      trials per oracle family (default 200)
 //   --minimize      delta-debug each mismatch before reporting it
@@ -19,7 +19,7 @@
 // 0 all oracles agree, 1 mismatch found or reproduced, 2 usage/parse
 // error.
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -32,15 +32,6 @@ namespace {
 
 using namespace xic;
 using namespace xic::fuzz;
-
-bool ParseNumber(const char* text, unsigned long* out) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long value = std::strtoul(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
 
 void PrintMismatch(const FuzzMismatch& mismatch, const std::string& where) {
   std::cout << "MISMATCH seed " << mismatch.seed << ": " << mismatch.detail
@@ -94,7 +85,7 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    unsigned long count = 0;
+    uint64_t count = 0;
     bool obs_error = false;
     if (ObsParseFlag(argc, argv, &i, &obs_options, &obs_error)) {
       if (obs_error) return 2;
@@ -108,17 +99,17 @@ int main(int argc, char** argv) {
       } else {
         std::cerr << "--oracle: unknown oracle \"" << name
                   << "\" (expected checker, incremental, implication, "
-                     "roundtrip, lint or all)\n";
+                     "roundtrip, lint, stream or all)\n";
         return 2;
       }
     } else if (arg == "--seeds" && i + 1 < argc) {
-      if (!ParseNumber(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--seeds: not a number: " << argv[i] << "\n";
         return 2;
       }
       first_seed = count;
     } else if (arg == "--trials" && i + 1 < argc) {
-      if (!ParseNumber(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--trials: not a number: " << argv[i] << "\n";
         return 2;
       }

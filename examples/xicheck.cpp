@@ -22,8 +22,6 @@
 // to restore consistency are printed. Exit code: 0 valid, 1 invalid,
 // 2 usage/parse/limit error.
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -176,18 +174,6 @@ int ValidateOne(
   return Repair(name, *text, config, options.deadline);
 }
 
-// A decimal number: strtoul alone would accept a sign and wrap "-1" to
-// ULONG_MAX.
-bool ParseNumber(const char* text, unsigned long* out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long value = std::strtoul(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,7 +182,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    unsigned long count = 0;
+    uint64_t count = 0;
     bool obs_error = false;
     if (ObsParseFlag(argc, argv, &i, &obs_options, &obs_error)) {
       if (obs_error) return 2;
@@ -205,7 +191,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stream") {
       // Accepted for compatibility: streaming is the only pipeline.
     } else if (arg == "--spill-mb" && i + 1 < argc) {
-      if (!ParseNumber(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--spill-mb: not a number: " << argv[i] << "\n";
         return 2;
       }
@@ -215,19 +201,19 @@ int main(int argc, char** argv) {
       }
       config.spill_mb = count;
     } else if (arg == "--max-depth" && i + 1 < argc) {
-      if (!ParseNumber(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--max-depth: not a number: " << argv[i] << "\n";
         return 2;
       }
       config.limits.max_tree_depth = count;
     } else if (arg == "--max-bytes" && i + 1 < argc) {
-      if (!ParseNumber(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--max-bytes: not a number: " << argv[i] << "\n";
         return 2;
       }
       config.limits.max_document_bytes = count;
     } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      if (!ParseNumber(argv[++i], &count)) {
+      if (!ParseDecimal(argv[++i], &count)) {
         std::cerr << "--timeout-ms: not a number: " << argv[i] << "\n";
         return 2;
       }

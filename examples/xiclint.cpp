@@ -20,7 +20,7 @@
 // Exit codes: 0 clean, 1 warnings only, 2 errors, 3 infrastructure
 // failure (I/O, parse failure, limit or deadline hit).
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -141,15 +141,6 @@ int LintSelfDescribing(const std::string& name, const std::string& text,
                 config);
 }
 
-bool ParseNumber(const char* text, unsigned long* out) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long value = std::strtoul(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 bool ReadFile(const std::string& path, std::string* out) {
   std::ifstream in(path);
   if (!in) return false;
@@ -175,7 +166,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    unsigned long count = 0;
+    uint64_t count = 0;
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
         std::cerr << flag << ": missing argument\n";
@@ -213,19 +204,19 @@ int main(int argc, char** argv) {
         return 3;
       }
     } else if (arg == "--timeout-ms") {
-      if (!ParseNumber(next("--timeout-ms"), &count)) {
+      if (!ParseDecimal(next("--timeout-ms"), &count)) {
         std::cerr << "--timeout-ms: not a number: " << argv[i] << "\n";
         return 3;
       }
       config.timeout_ms = count;
     } else if (arg == "--max-bytes") {
-      if (!ParseNumber(next("--max-bytes"), &count)) {
+      if (!ParseDecimal(next("--max-bytes"), &count)) {
         std::cerr << "--max-bytes: not a number: " << argv[i] << "\n";
         return 3;
       }
       config.limits.max_document_bytes = count;
     } else if (arg == "--max-states") {
-      if (!ParseNumber(next("--max-states"), &count)) {
+      if (!ParseDecimal(next("--max-states"), &count)) {
         std::cerr << "--max-states: not a number: " << argv[i] << "\n";
         return 3;
       }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/json_writer.h"
+
 namespace xic {
 
 const char* DiagSeverityToString(DiagSeverity severity) {
@@ -64,44 +66,10 @@ std::string AnalysisReport::ToString() const {
   return out;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 namespace {
 
 std::string Quoted(const std::string& text) {
-  return "\"" + JsonEscape(text) + "\"";
+  return "\"" + util::JsonWriter::Escape(text) + "\"";
 }
 
 }  // namespace

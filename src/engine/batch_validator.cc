@@ -7,6 +7,7 @@
 
 #include "engine/thread_pool.h"
 #include "obs/obs.h"
+#include "util/json_writer.h"
 
 namespace xic {
 
@@ -40,10 +41,20 @@ bool IsInfrastructureStatus(const Status& s) {
 
 }  // namespace
 
-bool DocumentOutcome::infrastructure_failure() const {
-  return !error.ok() || IsInfrastructureStatus(parse) ||
-         IsInfrastructureStatus(structure.status) ||
-         IsInfrastructureStatus(constraints.status);
+Status DocumentOutcome::infrastructure_status() const {
+  if (!error.ok()) return error;
+  if (IsInfrastructureStatus(parse)) return parse;
+  if (IsInfrastructureStatus(structure.status)) return structure.status;
+  if (IsInfrastructureStatus(constraints.status)) return constraints.status;
+  return Status::OK();
+}
+
+const char* DocumentOutcome::verdict() const {
+  if (infrastructure_failure()) return "infrastructure_failure";
+  if (!parse.ok()) return "parse_error";
+  if (!structure.ok()) return "invalid_structure";
+  if (!constraints.ok()) return "constraint_violations";
+  return "ok";
 }
 
 std::string BatchStats::ToString() const {
@@ -118,52 +129,14 @@ std::string BatchReport::ViolationsToString(const ConstraintSet& sigma) const {
 
 namespace {
 
-// Minimal JSON string escaping for report fields (names, messages).
-std::string JsonQuote(std::string_view s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += "\"";
-  return out;
+std::string Quoted(std::string_view s) {
+  return "\"" + util::JsonWriter::Escape(s) + "\"";
 }
 
 bool HasCode(const DocumentOutcome& o, StatusCode code) {
   return o.error.code() == code || o.parse.code() == code ||
          o.structure.status.code() == code ||
          o.constraints.status.code() == code;
-}
-
-const char* Verdict(const DocumentOutcome& o) {
-  if (o.infrastructure_failure()) return "infrastructure_failure";
-  if (!o.parse.ok()) return "parse_error";
-  if (!o.structure.ok()) return "invalid_structure";
-  if (!o.constraints.ok()) return "constraint_violations";
-  return "ok";
 }
 
 }  // namespace
@@ -177,8 +150,8 @@ std::string BatchReport::ToJson(const ConstraintSet& sigma) const {
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const DocumentOutcome& o = outcomes[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": " + JsonQuote(o.name);
-    out += ", \"verdict\": \"" + std::string(Verdict(o)) + "\"";
+    out += "    {\"name\": " + Quoted(o.name);
+    out += ", \"verdict\": \"" + std::string(o.verdict()) + "\"";
     out += ", \"attempts\": " + std::to_string(o.attempts);
     out += ", \"retries\": " + std::to_string(o.attempts - 1);
     out += ", \"vertices\": " + std::to_string(o.vertices);
@@ -189,18 +162,18 @@ std::string BatchReport::ToJson(const ConstraintSet& sigma) const {
     if (!o.error.ok()) {
       out += std::string(", \"error\": {\"code\": \"") +
              StatusCodeToString(o.error.code()) +
-             "\", \"message\": " + JsonQuote(o.error.message()) + "}";
+             "\", \"message\": " + Quoted(o.error.message()) + "}";
     }
     if (!o.parse.ok()) {
-      out += ", \"parse_error\": " + JsonQuote(o.parse.ToString());
+      out += ", \"parse_error\": " + Quoted(o.parse.ToString());
     }
     if (!o.structure.status.ok()) {
       out += ", \"structure_error\": " +
-             JsonQuote(o.structure.status.ToString());
+             Quoted(o.structure.status.ToString());
     }
     if (!o.constraints.status.ok()) {
       out += ", \"constraints_error\": " +
-             JsonQuote(o.constraints.status.ToString());
+             Quoted(o.constraints.status.ToString());
     }
     if (!o.structure.violations.empty()) {
       out += ", \"structure_violations\": [";
@@ -208,7 +181,7 @@ std::string BatchReport::ToJson(const ConstraintSet& sigma) const {
         const Violation& viol = o.structure.violations[v];
         if (v > 0) out += ", ";
         out += "{\"vertex\": " + std::to_string(viol.vertex) +
-               ", \"message\": " + JsonQuote(viol.message) + "}";
+               ", \"message\": " + Quoted(viol.message) + "}";
       }
       out += "]";
     }
@@ -218,9 +191,9 @@ std::string BatchReport::ToJson(const ConstraintSet& sigma) const {
         const ConstraintViolation& viol = o.constraints.violations[v];
         if (v > 0) out += ", ";
         out += "{\"constraint\": " +
-               JsonQuote(
+               Quoted(
                    sigma.constraints[viol.constraint_index].ToString()) +
-               ", \"message\": " + JsonQuote(viol.message) + "}";
+               ", \"message\": " + Quoted(viol.message) + "}";
       }
       out += "]";
     }
@@ -272,31 +245,15 @@ Deadline BatchValidator::DocumentDeadline(
     const RunOverrides& overrides) const {
   uint64_t timeout_ms =
       overrides.document_timeout_ms.value_or(options_.document_timeout_ms);
-  Deadline deadline = timeout_ms == 0 ? Deadline::Infinite()
-                                      : Deadline::AfterMillis(timeout_ms);
-  if (overrides.cancellation != nullptr) {
-    deadline = deadline.WithToken(overrides.cancellation);
-  }
-  return deadline;
+  return timeout_ms == 0 ? Deadline::Infinite()
+                         : Deadline::AfterMillis(timeout_ms);
 }
 
 DocumentOutcome BatchValidator::CheckOne(
     const BatchDocument& doc, const RunOverrides& overrides) const {
-  size_t max_attempts =
-      std::max<size_t>(1, overrides.max_attempts.value_or(
-                              options_.max_attempts));
+  const size_t max_attempts = std::max<size_t>(1, options_.max_attempts);
   DocumentOutcome outcome;
   for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      // Exponential backoff with deterministic jitter before each retry
-      // (disabled by default). Skipped once the caller cancelled: a
-      // draining service wants the final deterministic outcome, not a
-      // sleep.
-      if (overrides.cancellation == nullptr ||
-          !overrides.cancellation->cancelled()) {
-        BackoffSleep(options_.backoff, doc.name, attempt);
-      }
-    }
     outcome = CheckOneAttempt(doc, overrides.attempt_base + attempt,
                               overrides);
     outcome.attempts = attempt + 1;
@@ -371,12 +328,6 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
   // to pipeline start -- on the pool path that approximates time sitting
   // in the worker deques.
   auto run_one = [&](size_t i) {
-    // Re-install the request's trace id on this worker before opening the
-    // document span; on the inline path this re-installs the caller's own
-    // ambient id (a no-op).
-    obs::ScopedTraceId scoped_trace(overrides.trace_id.empty()
-                                        ? obs::ScopedTraceId::Current()
-                                        : overrides.trace_id);
     obs::ScopedSpan doc_span("batch.document", "engine");
     doc_span.SetSeq(static_cast<int64_t>(i));
     double queue_wait = Seconds(start, Clock::now());

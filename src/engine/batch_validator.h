@@ -23,7 +23,8 @@
 // that document's outcome -- the batch always completes and reports every
 // other document normally. Transient failures (kUnavailable, e.g. from
 // the FaultInjector seam, whose one engine site is "parse") are retried
-// up to BatchOptions::max_attempts times; everything else fails fast.
+// at once, up to BatchOptions::max_attempts times; everything else fails
+// fast.
 // Injected fault decisions depend only on (seed, site, document name,
 // attempt), so a faulted run's report is still byte-identical across
 // thread counts.
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "engine/stream_validator.h"
-#include "util/backoff.h"
 #include "util/fault_injector.h"
 #include "util/limits.h"
 #include "util/status.h"
@@ -82,10 +82,21 @@ struct DocumentOutcome {
     return error.ok() && parse.ok() && structure.ok() && constraints.ok();
   }
 
-  /// True when the pipeline could not run to a verdict: a fault/exception,
-  /// a resource limit, or a deadline -- as opposed to the document being
-  /// well-understood and invalid.
-  bool infrastructure_failure() const;
+  /// The first status that cut the pipeline short (a fault/exception, a
+  /// resource limit, or a deadline), checked in pipeline order; OK when
+  /// the pipeline reached a verdict, valid or not.
+  Status infrastructure_status() const;
+
+  /// True when the pipeline could not run to a verdict -- as opposed to
+  /// the document being well-understood and invalid.
+  bool infrastructure_failure() const {
+    return !infrastructure_status().ok();
+  }
+
+  /// The verdict name the JSON report and xicd's `verdict` header carry:
+  /// "infrastructure_failure", "parse_error", "invalid_structure",
+  /// "constraint_violations" or "ok".
+  const char* verdict() const;
 };
 
 /// Aggregate counters and timings for one batch run.
@@ -157,7 +168,7 @@ struct BatchOptions {
   /// streaming pass and the constraint post-pass.
   uint64_t document_timeout_ms = 0;
   /// Attempts per document; transient (kUnavailable) failures are
-  /// retried until this many attempts were made.
+  /// retried at once until this many attempts were made.
   size_t max_attempts = 1;
   /// Extent-log bytes per document before spilling to disk (0 = never
   /// spill).
@@ -165,47 +176,25 @@ struct BatchOptions {
   /// Deterministic fault injection (off by default; see
   /// util/fault_injector.h).
   FaultConfig faults;
-  /// Wait schedule between transient-failure retries. The default
-  /// (initial_delay_ms == 0) retries immediately, preserving the
-  /// pre-backoff behavior; services set an exponential schedule so
-  /// retries do not stampede. Jitter is deterministic per (key, attempt),
-  /// keeping faulted reports byte-identical across thread counts.
-  BackoffConfig backoff;
 };
 
 /// Per-call overrides for a compiled validator. A long-lived service
 /// (xicd) compiles one BatchValidator per schema and then threads each
-/// request's deadline / retry budget / input limits through Run without
-/// recompiling; absent fields fall back to the construction-time
-/// BatchOptions.
+/// request's deadline and input limits through Run without recompiling;
+/// absent fields fall back to the construction-time BatchOptions.
 struct RunOverrides {
   /// Per-document wall-clock budget for this call, milliseconds (0 =
   /// none). Overrides BatchOptions::document_timeout_ms.
   std::optional<uint64_t> document_timeout_ms;
-  /// Attempts per document for this call (>= 1). Overrides
-  /// BatchOptions::max_attempts.
-  std::optional<size_t> max_attempts;
   /// Starting attempt index for fault-injection numbering. A caller that
-  /// owns the retry loop itself (xicd's dispatcher) runs each call with
-  /// max_attempts = 1 and threads its outer attempt index here, so
-  /// injected transient faults clear at the configured
-  /// transient_attempts without a second retry layer multiplying
-  /// attempts underneath it.
+  /// owns the retry loop itself (xicd's dispatcher, whose plans run one
+  /// attempt per call) threads its outer attempt index here, so injected
+  /// transient faults clear at the configured transient_attempts.
   size_t attempt_base = 0;
   /// Input bounds for this call (document bytes, nesting depth,
   /// expansion budget). Compiled-plan search bounds (automaton states
   /// etc.) stay at their construction-time values.
   std::optional<ResourceLimits> limits;
-  /// Cooperative cancellation: when cancelled, per-document deadlines
-  /// report expiry at the next check. Must outlive the Run call.
-  const CancellationToken* cancellation = nullptr;
-  /// Request trace id to install on the worker thread for the duration of
-  /// each document (obs::ScopedTraceId), so fanned-out engine spans stay
-  /// joinable to the originating request even when the pool executes them
-  /// on a different thread than the caller's. Empty = keep the worker's
-  /// ambient id (i.e. the caller's id on the inline single-document path,
-  /// none on the pool path).
-  std::string trace_id;
 };
 
 class BatchValidator {
@@ -218,8 +207,8 @@ class BatchValidator {
   /// Validates the whole corpus.
   BatchReport Run(const std::vector<BatchDocument>& corpus) const;
 
-  /// Run with per-call overrides (request deadline, retry budget, input
-  /// limits, cancellation) layered over the compiled options.
+  /// Run with per-call overrides (request deadline, fault numbering,
+  /// input limits) layered over the compiled options.
   BatchReport Run(const std::vector<BatchDocument>& corpus,
                   const RunOverrides& overrides) const;
 

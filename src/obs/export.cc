@@ -12,11 +12,6 @@ namespace xic::obs {
 
 namespace {
 
-// Shared escaping with every other JSON emitter in the tree.
-std::string JsonEscape(const std::string& in) {
-  return util::JsonWriter::Escape(in);
-}
-
 // Microseconds with nanosecond precision, printed without locale
 // dependence ("12.345").
 std::string Micros(uint64_t ns) {
@@ -37,7 +32,7 @@ std::string AttrValueJson(const SpanAttr& attr) {
       return buffer;
     }
     case SpanAttr::Kind::kString:
-      return "\"" + JsonEscape(attr.string_value) + "\"";
+      return "\"" + util::JsonWriter::Escape(attr.string_value) + "\"";
   }
   return "null";
 }

@@ -2,6 +2,8 @@
 
 #if XIC_OBS_ENABLED
 
+#include <utility>
+
 namespace xic::obs {
 
 namespace {
@@ -139,10 +141,10 @@ ScopedSpan::ScopedSpan(std::string_view name, std::string_view cat) {
   buffer_->open.push_back(index_);
 }
 
+// `id` may view the thread's current id (re-installing Current()), so it
+// is copied before that id is moved away.
 ScopedTraceId::ScopedTraceId(std::string_view id)
-    : previous_(std::move(tl_trace_id)) {
-  tl_trace_id.assign(id);
-}
+    : previous_(std::exchange(tl_trace_id, std::string(id))) {}
 
 ScopedTraceId::~ScopedTraceId() { tl_trace_id = std::move(previous_); }
 

@@ -157,9 +157,9 @@ class ScopedTraceSession {
 /// which is what makes one request's spans joinable across the serve
 /// pipeline -- the dispatcher installs the id once at the top of
 /// Handle() and the compile / run / session spans underneath pick it up
-/// without any parameter threading. Work fanned out to other threads
-/// re-installs explicitly (RunOverrides::trace_id on the batch engine
-/// path).
+/// without any parameter threading. The id is thread-local: work fanned
+/// out to other threads must install it there itself (the daemon's
+/// engine runs inline, so it needs none).
 class ScopedTraceId {
  public:
   explicit ScopedTraceId(std::string_view id);

@@ -1,9 +1,7 @@
 #include "serve/dispatcher.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <vector>
 
@@ -54,16 +52,6 @@ class PhaseTimer {
   Clock::time_point start_;
 };
 
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 /// The DOCTYPE shell of a document: name plus the raw internal subset
 /// between '[' and ']', read by the XML tokenizer, which stops right
 /// after the subset. The subset text is the cache key material -- two
@@ -101,34 +89,6 @@ Result<DoctypeShell> ExtractDoctype(const std::string& text,
                       std::string(event.internal_subset)};
 }
 
-/// Status of the first infrastructure failure in a single-document
-/// outcome, or OK when the pipeline reached a verdict.
-Status InfraStatus(const DocumentOutcome& outcome) {
-  auto infra = [](const Status& s) {
-    switch (s.code()) {
-      case StatusCode::kResourceExhausted:
-      case StatusCode::kDeadlineExceeded:
-      case StatusCode::kUnavailable:
-      case StatusCode::kInternal:
-        return true;
-      default:
-        return false;
-    }
-  };
-  if (!outcome.error.ok()) return outcome.error;
-  if (infra(outcome.parse)) return outcome.parse;
-  if (infra(outcome.structure.status)) return outcome.structure.status;
-  if (infra(outcome.constraints.status)) return outcome.constraints.status;
-  return Status::OK();
-}
-
-const char* VerdictOf(const DocumentOutcome& o) {
-  if (!o.parse.ok()) return "parse_error";
-  if (!o.structure.ok()) return "invalid_structure";
-  if (!o.constraints.ok()) return "constraint_violations";
-  return "ok";
-}
-
 }  // namespace
 
 Dispatcher::Dispatcher(DispatcherOptions options)
@@ -150,7 +110,7 @@ RunOverrides Dispatcher::OverridesFor(const Request& request) const {
   RunOverrides overrides;
   uint64_t deadline_ms = options_.default_deadline_ms;
   uint64_t value = 0;
-  if (ParseU64(request.header("deadline-ms"), &value)) {
+  if (ParseDecimal(request.header("deadline-ms"), &value)) {
     deadline_ms = value;
   }
   if (options_.max_deadline_ms > 0) {
@@ -159,24 +119,29 @@ RunOverrides Dispatcher::OverridesFor(const Request& request) const {
                       : std::min(deadline_ms, options_.max_deadline_ms);
   }
   overrides.document_timeout_ms = deadline_ms;
-  size_t attempts = options_.default_attempts;
-  if (ParseU64(request.header("retries"), &value)) {
-    attempts = static_cast<size_t>(value) + 1;
-  }
-  overrides.max_attempts =
-      std::clamp<size_t>(attempts, 1, options_.max_attempts);
   ResourceLimits limits = options_.limits;
-  if (ParseU64(request.header("max-bytes"), &value) && value > 0 &&
+  if (ParseDecimal(request.header("max-bytes"), &value) && value > 0 &&
       (limits.max_document_bytes == 0 ||
        value < limits.max_document_bytes)) {
     limits.max_document_bytes = value;
   }
-  if (ParseU64(request.header("max-depth"), &value) && value > 0 &&
+  if (ParseDecimal(request.header("max-depth"), &value) && value > 0 &&
       (limits.max_tree_depth == 0 || value < limits.max_tree_depth)) {
     limits.max_tree_depth = value;
   }
   overrides.limits = limits;
   return overrides;
+}
+
+size_t Dispatcher::AttemptsFor(const Request& request) const {
+  size_t attempts = options_.default_attempts;
+  uint64_t retries = 0;
+  if (ParseDecimal(request.header("retries"), &retries)) {
+    // Capped before the +1, so a huge count cannot wrap to 0 attempts.
+    retries = std::min<uint64_t>(retries, options_.max_attempts);
+    attempts = static_cast<size_t>(retries) + 1;
+  }
+  return std::clamp<size_t>(attempts, 1, options_.max_attempts);
 }
 
 Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
@@ -223,7 +188,6 @@ Result<PlanPtr> Dispatcher::CompileIntoCache(const std::string& schema_text,
         batch_options.limits = options_.limits;
         batch_options.validation.allow_missing_attributes = true;
         batch_options.faults = options_.faults;
-        batch_options.backoff = options_.backoff;
         batch_options.stream_spill_budget_bytes =
             options_.stream_spill_budget_bytes;
         plan->validator = std::make_unique<BatchValidator>(
@@ -268,8 +232,8 @@ Response Dispatcher::Handle(const Request& request) {
   // function of the request, so the echoed header never breaks
   // byte-stability across thread counts. Installed as the thread's
   // ambient id BEFORE the first span opens, so every span this request
-  // creates (including engine spans, re-installed on pool workers via
-  // RunOverrides::trace_id) carries it.
+  // creates carries it, the engine's included: plans run their one
+  // document inline on this thread.
   std::string trace_id = request.header("trace-id");
   trace_id = trace_id.empty() ? ContentHash(id) : HeaderSafe(trace_id);
   obs::ScopedTraceId scoped_trace(trace_id);
@@ -303,7 +267,7 @@ Response Dispatcher::Handle(const Request& request) {
                 std::to_string(options_.max_request_bytes)));
       }
     }
-    size_t attempts = OverridesFor(request).max_attempts.value_or(1);
+    const size_t attempts = AttemptsFor(request);
     Response attempt_response;
     for (size_t attempt = 0;; ++attempt) {
       if (attempt > 0) BackoffSleep(options_.backoff, id, attempt);
@@ -410,14 +374,10 @@ Response Dispatcher::DoValidate(const Request& request,
     hit_span.AddString("schema", plan.value()->key);
   }
   RunOverrides overrides = OverridesFor(request);
-  overrides.trace_id = obs::ScopedTraceId::Current();
   // Handle() owns the retry loop (bounded attempts + backoff on
-  // kUnavailable). The validator must run a single attempt underneath
-  // it, otherwise a `retries` header multiplies across the two layers
-  // (N outer x N inner engine attempts plus nested backoff sleeps).
+  // kUnavailable); the plan's validator runs one attempt per call.
   // Threading the outer attempt index into the engine's fault numbering
-  // keeps injected transient faults clearing exactly as before.
-  overrides.max_attempts = 1;
+  // keeps injected transient faults clearing on the retry.
   overrides.attempt_base = attempt;
   BatchDocument document;
   document.name = request.header("name", "request:" + HeaderSafe(id));
@@ -430,12 +390,12 @@ Response Dispatcher::DoValidate(const Request& request,
   }
   const DocumentOutcome& outcome = report.outcomes[0];
   Response response;
-  response.status = InfraStatus(outcome);
+  response.status = outcome.infrastructure_status();
   response.headers["schema"] = plan.value()->key;
   response.headers["cache"] = cache_hit ? "hit" : "miss";
   if (stream) response.headers["mode"] = "stream";
   if (response.status.ok()) {
-    response.headers["verdict"] = VerdictOf(outcome);
+    response.headers["verdict"] = outcome.verdict();
   } else {
     response.headers["error"] = HeaderSafe(response.status.message());
   }

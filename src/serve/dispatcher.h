@@ -45,19 +45,19 @@
 //
 // Common request headers: id=<key> (fault key + echo), trace-id=<token>
 // (echoed; server-derived from the id when absent), deadline-ms=N,
-// retries=N, max-bytes=N, max-depth=N. Transient (kUnavailable)
-// dispatch failures are retried with the shared exponential-backoff
-// schedule (util/backoff.h), mirroring the batch engine's per-document
-// retry loop.
+// retries=N, max-bytes=N, max-depth=N (strict decimals; a malformed
+// value is ignored). Transient (kUnavailable) dispatch failures are
+// retried under the exponential-backoff schedule of util/backoff.h; the
+// engine underneath runs one attempt per dispatch.
 //
 // Tracing: every response carries a trace-id header -- the client's
 // token (sanitized) or ContentHash(id) when the client sent none, so it
 // is a pure function of the request and responses stay byte-stable.
 // Handle() installs the id as the thread's ambient obs::ScopedTraceId,
 // which tags each span the request opens (serve.request, serve.admit,
-// serve.compile, serve.run, and the engine spans underneath via
-// RunOverrides::trace_id) with a trace_id attribute; one request's spans
-// are therefore joinable end-to-end in a trace export.
+// serve.compile, serve.run, and the engine spans underneath, which run
+// inline on the same thread) with a trace_id attribute; one request's
+// spans are therefore joinable end-to-end in a trace export.
 //
 // Byte-stability caveat: stats, stats.prom and debugz report live
 // counters and timings and are exempt from the byte-identical-responses
@@ -100,8 +100,8 @@ struct DispatcherOptions {
   /// Retry-After hint (milliseconds) attached to every load-shed /
   /// transient-failure response.
   uint64_t retry_after_ms = 100;
-  /// Backoff schedule for transient dispatch retries; shared with the
-  /// engine's per-document retry loop (BatchOptions::backoff).
+  /// Backoff schedule for transient dispatch retries (Handle()'s loop;
+  /// the engine's own retries are immediate).
   BackoffConfig backoff;
   /// Bounded memo of imply responses (entries, not bytes).
   size_t imply_memo_entries = 1024;
@@ -197,6 +197,10 @@ class Dispatcher {
 
   /// Effective per-request knobs (header layered over options ceiling).
   RunOverrides OverridesFor(const Request& request) const;
+
+  /// Attempt budget of one request: the `retries` header + 1, clamped to
+  /// [1, options_.max_attempts]; default options_.default_attempts.
+  size_t AttemptsFor(const Request& request) const;
 
   /// Per-verb + breakdown latency histograms for one finished request
   /// (no-op probe under -DXIC_OBS=OFF).

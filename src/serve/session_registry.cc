@@ -1,7 +1,5 @@
 #include "serve/session_registry.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <vector>
 
 #include "obs/obs.h"
@@ -16,13 +14,8 @@ bool ParseVertex(const std::string& token, VertexId* out) {
     *out = kInvalidVertex;
     return true;
   }
-  char* end = nullptr;
-  errno = 0;
-  unsigned long value = std::strtoul(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str() || *end != '\0' ||
-      value >= kInvalidVertex) {
-    return false;
-  }
+  uint64_t value = 0;
+  if (!ParseDecimal(token, &value) || value >= kInvalidVertex) return false;
   *out = static_cast<VertexId>(value);
   return true;
 }

@@ -1,14 +1,14 @@
 // Exponential backoff with deterministic jitter for transient-failure
 // retry loops.
 //
-// Both the batch engine (per-document kUnavailable retries) and the xicd
-// request path retry transient failures. Retrying immediately turns a
-// transient overload into a stampede; retrying after a fixed delay
-// synchronizes the retriers into waves. The standard fix is exponential
-// backoff with jitter -- but random jitter would make retried runs
-// unreproducible, which this codebase cannot afford (faulted batch
-// reports are byte-identical across thread counts, and tests replay exact
-// schedules). The jitter here is therefore *deterministic*: a hash of
+// The xicd request path retries transient failures under this schedule
+// (the batch engine's per-document retries are immediate). Retrying a
+// shared service immediately turns a transient overload into a
+// stampede; retrying after a fixed delay synchronizes the retriers into
+// waves. The standard fix is exponential backoff with jitter -- but
+// random jitter would make retried runs unreproducible, which this
+// codebase cannot afford (faulted responses are byte-identical across
+// thread counts, and tests replay exact schedules). The jitter here is therefore *deterministic*: a hash of
 // (seed, key, attempt) spread over the jitter window, so two runs of the
 // same workload wait the same milliseconds, while distinct work items
 // ("gen1" vs "gen2") decorrelate instead of thundering together.

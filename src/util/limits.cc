@@ -22,10 +22,7 @@ Status LimitExceededStatus(size_t value, size_t limit, const char* limit_name,
 }
 
 Status Deadline::Check(const char* what) const {
-  if (cancelled()) {
-    return Status::DeadlineExceeded(std::string(what) + ": cancelled");
-  }
-  if (!infinite_ && Clock::now() >= expiry_) {
+  if (expired()) {
     return Status::DeadlineExceeded(std::string(what) +
                                     ": deadline exceeded");
   }

@@ -11,18 +11,16 @@
 //     yields Status::LimitExceeded naming the limit (kResourceExhausted,
 //     limit() == "max_tree_depth" etc.), never a crash or silent
 //     truncation.
-//   * Deadline -- a monotonic-clock budget, optionally coupled to a
-//     CancellationToken. Threaded through parsers, validators and
-//     solvers; expiry yields kDeadlineExceeded.
+//   * Deadline -- a monotonic-clock budget. Threaded through parsers,
+//     validators and solvers; expiry yields kDeadlineExceeded.
 //
-// Both are cheap value types: a Deadline is a time_point plus a pointer,
+// Both are cheap value types: a Deadline is a time_point plus a flag,
 // and expiry checks are amortized by the callers (typically once per
 // element / vertex / search step).
 
 #ifndef XIC_UTIL_LIMITS_H_
 #define XIC_UTIL_LIMITS_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -83,30 +81,13 @@ Status CheckLimit(size_t value, size_t limit, const char* limit_name,
   return LimitExceededStatus(value, limit, limit_name, what());
 }
 
-/// A cooperative cancellation flag, shareable across threads. The token
-/// must outlive every Deadline observing it.
-class CancellationToken {
- public:
-  CancellationToken() = default;
-  CancellationToken(const CancellationToken&) = delete;
-  CancellationToken& operator=(const CancellationToken&) = delete;
-
-  void Cancel() { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
 /// A monotonic wall-clock budget. Copyable; the default-constructed
 /// deadline never expires, so existing call sites pay one branch.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Never expires (unless the optional token is cancelled).
+  /// Never expires.
   Deadline() = default;
 
   static Deadline Infinite() { return Deadline(); }
@@ -128,20 +109,8 @@ class Deadline {
   /// An already-expired deadline (tests, "poll only" semantics).
   static Deadline Expired() { return After(Clock::duration::zero()); }
 
-  /// Attaches a cancellation token; expired() then also reports true
-  /// once the token is cancelled.
-  Deadline WithToken(const CancellationToken* token) const {
-    Deadline d = *this;
-    d.token_ = token;
-    return d;
-  }
-
-  bool infinite() const { return infinite_ && token_ == nullptr; }
-  bool cancelled() const { return token_ != nullptr && token_->cancelled(); }
-  bool expired() const {
-    if (cancelled()) return true;
-    return !infinite_ && Clock::now() >= expiry_;
-  }
+  bool infinite() const { return infinite_; }
+  bool expired() const { return !infinite_ && Clock::now() >= expiry_; }
 
   /// OK, or kDeadlineExceeded mentioning `what` (the operation that ran
   /// out of time, e.g. "XML parse").
@@ -150,7 +119,6 @@ class Deadline {
  private:
   Clock::time_point expiry_{};
   bool infinite_ = true;
-  const CancellationToken* token_ = nullptr;
 };
 
 }  // namespace xic

@@ -3,6 +3,7 @@
 #include <string.h>
 
 #include <cctype>
+#include <charconv>
 
 namespace xic {
 
@@ -45,6 +46,17 @@ std::string Join(const std::vector<std::string>& pieces,
     out += pieces[i];
   }
   return out;
+}
+
+bool ParseDecimal(std::string_view text, uint64_t* out) {
+  // For an unsigned type from_chars takes digits only: no whitespace and
+  // no sign; an empty or overflowing text is an error.
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
 }
 
 bool StartsWith(std::string_view text, std::string_view prefix) {

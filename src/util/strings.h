@@ -3,6 +3,7 @@
 #ifndef XIC_UTIL_STRINGS_H_
 #define XIC_UTIL_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,13 @@ std::vector<std::string> Split(std::string_view text, char sep);
 /// Joins `pieces` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view sep);
+
+/// Parses a strict unsigned decimal: one or more ASCII digits and nothing
+/// else -- no sign, no whitespace -- whose value fits in 64 bits. On
+/// success stores the value and returns true; otherwise leaves `*out`
+/// unchanged. (strtoul would skip spaces, accept a sign and wrap "-1" to
+/// the type's maximum.)
+bool ParseDecimal(std::string_view text, uint64_t* out);
 
 /// True if `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);

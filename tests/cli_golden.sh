@@ -1,26 +1,34 @@
 #!/bin/sh
 # Golden tests for the xicheck and xicbatch command lines.
 #
-#   tests/cli_golden.sh XICHECK XICBATCH SOURCE_DIR [--update]
+#   tests/cli_golden.sh XICHECK XICBATCH XICD XICFUZZ XICLINT SOURCE_DIR \
+#     [--update]
 #
 # Each case runs one command from SOURCE_DIR (so file names in the output
 # are stable relative paths) and compares stdout, stderr and the exit code
 # with tests/cli_golden/<case>.golden. xicbatch's `wall:` and `stage:`
 # lines carry timings and are stripped. --update rewrites the goldens
-# instead of comparing. The last block asserts exit code 2 (usage error)
-# for numeric flags that are negative or out of range.
+# instead of comparing. The last block asserts the usage-error exit code
+# (2; 3 for xiclint) for numeric flags that are negative or out of range.
+# xicd and xicfuzz appear only there: a flag they wrongly accept would
+# start a daemon or a fuzz run, so never point those cases at a build
+# that takes "-1".
 
 set -u
-if [ $# -lt 3 ]; then
-  echo "usage: $0 XICHECK XICBATCH SOURCE_DIR [--update]" >&2
+if [ $# -lt 6 ]; then
+  echo "usage: $0 XICHECK XICBATCH XICD XICFUZZ XICLINT SOURCE_DIR" \
+    "[--update]" >&2
   exit 2
 fi
 # Binaries may be given relative to the caller's directory.
 abs() { (cd "$(dirname "$1")" && echo "$(pwd)/$(basename "$1")"); }
 xicheck=$(abs "$1")
 xicbatch=$(abs "$2")
-cd "$3" || exit 2
-update=${4:-}
+xicd=$(abs "$3")
+xicfuzz=$(abs "$4")
+xiclint=$(abs "$5")
+cd "$6" || exit 2
+update=${7:-}
 golden=tests/cli_golden
 tmp=$(mktemp -d) || exit 2
 trap 'rm -rf "$tmp"' EXIT
@@ -49,15 +57,20 @@ check() {
   fi
 }
 
-# usage_error CMD...: CMD must exit 2.
-usage_error() {
+# exits WANT CMD...: CMD must exit with code WANT.
+exits() {
+  want=$1
+  shift
   "$@" >/dev/null 2>&1
   code=$?
-  if [ "$code" -ne 2 ]; then
-    echo "FAIL: exit $code, want 2: $*"
+  if [ "$code" -ne "$want" ]; then
+    echo "FAIL: exit $code, want $want: $*"
     failures=$((failures + 1))
   fi
 }
+
+# usage_error CMD...: CMD must exit 2.
+usage_error() { exits 2 "$@"; }
 
 check demo "$xicheck"
 check valid "$xicheck" examples/data/library.xml
@@ -93,6 +106,9 @@ if [ "$update" != "--update" ]; then
     usage_error "$xicbatch" "$flag" -1 --generate 1
   done
   usage_error "$xicbatch" --spill-mb 17592186044416 --generate 1
+  usage_error "$xicd" --threads -1
+  usage_error "$xicfuzz" --trials -1
+  exits 3 "$xiclint" --timeout-ms -1
 fi
 
 if [ "$failures" -ne 0 ]; then

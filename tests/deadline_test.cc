@@ -39,7 +39,7 @@ void ExpectFast(Fn&& fn) {
   EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
-// -- Deadline / CancellationToken basics ------------------------------------
+// -- Deadline basics ---------------------------------------------------------
 
 TEST(Deadline, DefaultNeverExpires) {
   Deadline d;
@@ -69,15 +69,6 @@ TEST(Deadline, UnrepresentableBudgetMeansNoDeadline) {
     EXPECT_TRUE(d.Check("huge budget").ok()) << ms;
   }
   EXPECT_TRUE(Deadline::AfterMillis(UINT64_MAX).infinite());
-}
-
-TEST(Deadline, CancellationTokenTripsInfiniteDeadline) {
-  CancellationToken token;
-  Deadline d = Deadline::Infinite().WithToken(&token);
-  EXPECT_FALSE(d.expired());
-  token.Cancel();
-  EXPECT_TRUE(d.expired());
-  EXPECT_EQ(d.Check("cancelled op").code(), StatusCode::kDeadlineExceeded);
 }
 
 // -- Parsers -----------------------------------------------------------------

@@ -326,6 +326,54 @@ TEST(BatchValidator, JsonReportEscapesAndClassifies) {
       << json;
 }
 
+// The report's JSON escaping, byte for byte: a document name and messages
+// holding a quote, a backslash, a tab, a carriage return and \x01.
+TEST(BatchReport, ToJsonEscapesNamesAndMessagesGolden) {
+  ConstraintSet sigma = CatalogSigma();
+  const std::string odd = std::string("q\"b\\t\tr\r") + '\x01';
+  DocumentOutcome faulted;
+  faulted.name = "f" + odd;
+  faulted.error = Status::Unavailable("injected " + odd);
+  DocumentOutcome unparsed;
+  unparsed.name = "p" + odd;
+  unparsed.parse = Status::ParseError("line 1: " + odd);
+  DocumentOutcome invalid;
+  invalid.name = "v" + odd;
+  invalid.vertices = 3;
+  invalid.structure.violations.push_back({2, "bad " + odd});
+  invalid.constraints.violations.push_back({0, "dup " + odd, {}, {}});
+  BatchReport report;
+  report.outcomes = {faulted, unparsed, invalid};
+  report.stats.documents = 3;
+  const std::string golden =
+      R"({)" "\n"
+      R"(  "schema": "xic-batch-report-v1",)" "\n"
+      R"(  "documents": [)" "\n"
+      R"(    {"name": "fq\"b\\t\tr\r\u0001", )"
+      R"("verdict": "infrastructure_failure", "attempts": 1, )"
+      R"("retries": 0, "vertices": 0, "timed_out": false, )"
+      R"("faulted": true, "error": {"code": "Unavailable", )"
+      R"("message": "injected q\"b\\t\tr\r\u0001"}},)" "\n"
+      R"(    {"name": "pq\"b\\t\tr\r\u0001", "verdict": "parse_error", )"
+      R"("attempts": 1, "retries": 0, "vertices": 0, )"
+      R"("timed_out": false, "faulted": false, )"
+      R"("parse_error": "ParseError: line 1: q\"b\\t\tr\r\u0001"},)" "\n"
+      R"(    {"name": "vq\"b\\t\tr\r\u0001", )"
+      R"("verdict": "invalid_structure", "attempts": 1, "retries": 0, )"
+      R"("vertices": 3, "timed_out": false, "faulted": false, )"
+      R"("structure_violations": [{"vertex": 2, )"
+      R"("message": "bad q\"b\\t\tr\r\u0001"}], )"
+      R"("constraint_violations": [{"constraint": "entry.isbn -> entry")"
+      R"(, "message": "dup q\"b\\t\tr\r\u0001"}]})" "\n"
+      R"(  ],)" "\n"
+      R"(  "stats": {"documents": 3, "ok_documents": 0, )"
+      R"("parse_failures": 0, "structurally_invalid": 0, )"
+      R"("constraint_violating": 0, "resource_failures": 0, )"
+      R"("retries": 0, "total_vertices": 0, "total_violations": 0})" "\n"
+      R"(})" "\n";
+  EXPECT_EQ(report.ToJson(sigma), golden);
+}
+
 TEST(BatchValidator, CleanCorpusIsAllOk) {
   DtdStructure dtd = CatalogDtd();
   ConstraintSet sigma = CatalogSigma();

@@ -533,12 +533,6 @@ TEST(Lint, JsonGoldenSingleDiagnostic) {
             "}\n");
 }
 
-TEST(Lint, JsonEscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(JsonEscape("say \"hi\"\n\tdone\\"),
-            "say \\\"hi\\\"\\n\\tdone\\\\");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
 // ---------------------------------------------------------------------------
 // Constraint-parser error paths (structured messages with positions)
 

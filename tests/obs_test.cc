@@ -331,6 +331,18 @@ TEST(TraceTest, ScopedTraceIdTagsSpansAndRestores) {
   }
 }
 
+// Re-installing the current id (a view into the thread-local itself)
+// keeps it: the constructor copies the id before it saves the outer one.
+// "req" fits the small-string buffer, where a move leaves no copy behind.
+TEST(TraceTest, ScopedTraceIdReinstallsCurrentId) {
+  obs::ScopedTraceId outer("req");
+  {
+    obs::ScopedTraceId same(obs::ScopedTraceId::Current());
+    EXPECT_EQ(obs::ScopedTraceId::Current(), "req");
+  }
+  EXPECT_EQ(obs::ScopedTraceId::Current(), "req");
+}
+
 // Boundary observations land in their own le bucket and render as
 // cumulative counts end-to-end through a real registry histogram.
 TEST(PromTest, RegistryHistogramBoundariesRenderCumulative) {

@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -467,6 +468,46 @@ TEST(DispatcherTest, SchemaHeaderSkipsDoctypeRequirement) {
   EXPECT_EQ(unknown.status.code(), StatusCode::kInvalidArgument);
 }
 
+// A document the engine checked to a verdict answers ok with the
+// verdict in a header, whatever the verdict is.
+TEST(DispatcherTest, VerdictHeaderNamesEachVerdict) {
+  Dispatcher dispatcher(FastOptions());
+  Response put = dispatcher.Handle(MakeRequest("schema.put", kSchema));
+  ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+  const std::string schema = put.headers.at("schema");
+  const std::pair<const char*, const char*> cases[] = {
+      {"<bib><entry isbn=\"1\"></bib>", "parse_error"},
+      {"<bib><bib/></bib>", "invalid_structure"},
+      {"<bib><entry isbn=\"1\"/><entry isbn=\"1\"/></bib>",
+       "constraint_violations"},
+  };
+  for (const auto& [body, verdict] : cases) {
+    Response response = dispatcher.Handle(
+        MakeRequest("validate", body, {{"schema", schema}}));
+    EXPECT_TRUE(response.status.ok()) << body;
+    EXPECT_EQ(response.headers.at("verdict"), verdict) << body;
+    EXPECT_EQ(response.headers.count("error"), 0u) << body;
+  }
+}
+
+// A limit the engine trips (here a max-depth header below the document's
+// depth) cuts the check short: the answer is `limit` with an error
+// header, never a verdict.
+TEST(DispatcherTest, EngineLimitAnswersLimitWithoutVerdict) {
+  Dispatcher dispatcher(FastOptions());
+  Response put = dispatcher.Handle(MakeRequest("schema.put", kSchema));
+  ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+  Response response = dispatcher.Handle(MakeRequest(
+      "validate", "<bib><entry isbn=\"1\"/></bib>",
+      {{"schema", put.headers.at("schema")}, {"max-depth", "1"}}));
+  EXPECT_EQ(WireCode(response.status.code()), "limit");
+  EXPECT_EQ(response.status.limit(), "max_tree_depth");
+  EXPECT_EQ(response.headers.count("error"), 1u);
+  EXPECT_EQ(response.headers.count("verdict"), 0u);
+  EXPECT_NE(response.body.find("\"verdict\": \"infrastructure_failure\""),
+            std::string::npos);
+}
+
 TEST(DispatcherTest, PoisonSchemaIsNegativeCached) {
   DispatcherOptions options = FastOptions();
   options.cache.negative_ttl_ms = 60000;  // no expiry within the test
@@ -624,6 +665,11 @@ TEST(DispatcherTest, TransientDispatchFaultIsRetriedWithBackoff) {
       MakeRequest("ping", "", {{"id", "r1"}, {"retries", "1"}}));
   EXPECT_TRUE(recovered.status.ok());
   EXPECT_EQ(recovered.headers.at("attempts"), "2");
+  // A count too large to add one to is capped, not wrapped to 0 attempts.
+  Response capped = dispatcher.Handle(MakeRequest(
+      "ping", "", {{"id", "r1"}, {"retries", "18446744073709551615"}}));
+  EXPECT_TRUE(capped.status.ok());
+  EXPECT_EQ(capped.headers.at("attempts"), "2");
 }
 
 // The retries header is honored at exactly one layer: Handle()'s outer

@@ -170,6 +170,22 @@ TEST(StringsTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("x"), "x");
 }
 
+TEST(StringsTest, ParseDecimalTakesDigitsOnly) {
+  uint64_t value = 7;
+  EXPECT_TRUE(ParseDecimal("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseDecimal("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  // Empty, signed, space-led, trailing junk and one past UINT64_MAX all
+  // fail and leave the output alone.
+  value = 7;
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseDecimal(bad, &value)) << '"' << bad << '"';
+    EXPECT_EQ(value, 7u) << '"' << bad << '"';
+  }
+}
+
 using util::JsonWriter;
 using Layout = util::JsonWriter::Layout;
 
