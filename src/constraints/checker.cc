@@ -156,8 +156,10 @@ Result<AttrValue> ConstraintChecker::FieldValue(const DataTree& tree,
 ConstraintReport ConstraintChecker::Check(const DataTree& tree,
                                           const Deadline& deadline) const {
   obs::ScopedSpan span("constraints.check", "constraints");
+  StreamOptions options;
+  options.check = options_;
   ConstraintReport report =
-      CheckTreeConstraints(plan_, tree, options_.max_violations, deadline);
+      CheckTree(plan_, nullptr, tree, options, deadline).constraints;
   span.AddInt("constraints",
               static_cast<int64_t>(plan_.sigma.constraints.size()));
   span.AddInt("steps", static_cast<int64_t>(report.steps));

@@ -133,10 +133,10 @@ class ConstraintChecker {
                     CheckOptions options = {});
 
   /// Evaluates G |= Sigma; the report lists every violated constraint.
-  /// Every vertex counts, including vertices no path from the root
-  /// reaches. The deadline is polled every 1,024 vertices of the walk
-  /// and between constraints; on expiry the report carries
-  /// kDeadlineExceeded.
+  /// Every vertex counts: the tree is a forest, and the vertices of a
+  /// detached subtree belong to ext(tau) like the root's. The deadline
+  /// is polled every 1,024 vertices of the walk and between
+  /// constraints; on expiry the report carries kDeadlineExceeded.
   ConstraintReport Check(const DataTree& tree) const {
     return Check(tree, Deadline::Infinite());
   }

@@ -32,14 +32,16 @@ StreamValidator::StreamValidator(const DtdStructure& dtd,
 // ---------------------------------------------------------------------------
 // StreamRun: the per-document state machine. One instance per run; all
 // mutable state lives here, so a StreamValidator or ConstraintChecker is
-// share-safe. Two feeds drive it: tokenizer events (Run: structure and
-// constraints) and the vertices of an in-memory tree (RunTree:
-// constraints only). Both end in the same constraint post-pass.
+// share-safe. Two feeds drive it: tokenizer events (Run) and the vertices
+// of an in-memory tree (RunTree). Both make the same start-tag and
+// content-model checks and end in the same constraint post-pass.
+
+namespace {
 
 class StreamRun {
  public:
-  /// `validator` and `tok_dtd` are null for the tree feed, which makes no
-  /// structural findings and reads attribute value sets as they stand.
+  /// A null `validator` makes no structural findings. `tok_dtd` is null
+  /// for the tree feed, which reads attribute value sets as they stand.
   StreamRun(const ConstraintPlan& plan, const StreamOptions& options,
             const StructuralValidator* validator, const DtdStructure* tok_dtd,
             const Deadline& deadline)
@@ -57,7 +59,7 @@ class StreamRun {
   }
 
   StreamOutcome Run(StreamTokenizer& tok, const StreamEvent* pending);
-  ConstraintReport RunTree(const DataTree& tree);
+  StreamOutcome RunTree(const DataTree& tree);
 
  private:
   using Role = ConstraintPlan::Role;
@@ -126,11 +128,11 @@ class StreamRun {
     const AttrValue* values = nullptr;  // tree feed: the tokens as they stand
   };
 
-  // A structural violation with its DOM emission rank: the DOM validator
-  // walks vertices in id order and phases within a vertex (root check,
-  // undeclared type, content model, present attributes in name order,
-  // missing attributes in plan order); sorting by (seq, rank) restores
-  // that exact order from stream-order collection.
+  // A structural violation with its report rank. Reports list vertices
+  // in id order and phases within a vertex (root check, undeclared type,
+  // content model, present attributes in name order, missing attributes
+  // in plan order), NaiveValidate's order; sorting by (seq, rank) gives
+  // that order from walk-order collection.
   struct SViol {
     uint32_t seq;
     uint64_t rank;
@@ -159,7 +161,9 @@ class StreamRun {
 
   void OnStart(const StreamEvent& ev);
   void OnTreeVertex(const DataTree& tree, VertexId v);
-  void StepParent(Symbol label, std::string_view name);
+  void CheckStartTag(uint32_t seq, Symbol label, const LabelInfo& info);
+  void StepParent(Symbol label);
+  void StepText();
   void OpenFrame(uint32_t seq, Symbol label, LabelInfo& info);
   void OnEnd();
   void OnText(const StreamEvent& ev);
@@ -175,7 +179,7 @@ class StreamRun {
     }
   }
 
-  LabelInfo& Prepare(Symbol label, std::string_view name);
+  LabelInfo& Prepare(Symbol label);
   int AlphaOf(LabelInfo& info, Symbol s);
   const AttrRef* FindAttr(std::string_view name) const;
   /// Splits `a`'s value into tokens_ (views, ascending, distinct).
@@ -198,7 +202,7 @@ class StreamRun {
 
   const ConstraintPlan& plan_;
   const StreamOptions& options_;
-  const StructuralValidator* validator_;  // null: tree feed
+  const StructuralValidator* validator_;  // null: no structural findings
   const DtdStructure* tok_dtd_;  // governs attribute-value tokenization
   Deadline deadline_;
   bool compile_ok_;
@@ -209,7 +213,8 @@ class StreamRun {
   std::vector<CLogs> clogs_;
   std::unique_ptr<TupleLog> global_ids_;
 
-  SymbolTable syms_;
+  SymbolTable syms_;  // the text feed's interned names
+  const SymbolTable* names_ = &syms_;  // label names: syms_ or the tree's
   std::deque<LabelInfo> labels_;  // by Symbol; deque: stable references
   std::vector<Frame> frames_;     // slots; [0, depth_) are open
   size_t depth_ = 0;
@@ -232,11 +237,12 @@ class StreamRun {
   size_t field_steps_ = 0;
 };
 
-StreamRun::LabelInfo& StreamRun::Prepare(Symbol label, std::string_view name) {
+StreamRun::LabelInfo& StreamRun::Prepare(Symbol label) {
   while (labels_.size() <= label) labels_.emplace_back();
   LabelInfo& info = labels_[label];
   if (info.prepared) return info;
   info.prepared = true;
+  const std::string& name = names_->name(label);
   if (validator_ != nullptr) info.plan = validator_->PlanFor(name);
   if (info.plan.has_value() && info.plan->automaton != nullptr) {
     info.text_alpha = info.plan->automaton->FindAlphabetId(kStringSymbol);
@@ -244,14 +250,14 @@ StreamRun::LabelInfo& StreamRun::Prepare(Symbol label, std::string_view name) {
   auto it = plan_.type_plans.find(name);
   if (it != plan_.type_plans.end()) info.tplan = &it->second;
   if (global_ids_ != nullptr) {
-    std::optional<std::string> id = plan_.dtd.IdAttribute(std::string(name));
+    std::optional<std::string> id = plan_.dtd.IdAttribute(name);
     if (id.has_value()) {
       info.has_id_attr = true;
       info.id_attr = std::move(*id);
     }
   }
   if (tok_dtd_ != nullptr) {
-    for (std::string& attr : tok_dtd_->Attributes(std::string(name))) {
+    for (std::string& attr : tok_dtd_->Attributes(name)) {
       if (tok_dtd_->IsSetValued(name, attr)) {
         info.set_valued.push_back(std::move(attr));
       }
@@ -261,9 +267,9 @@ StreamRun::LabelInfo& StreamRun::Prepare(Symbol label, std::string_view name) {
 }
 
 int StreamRun::AlphaOf(LabelInfo& info, Symbol s) {
-  if (info.alpha.size() <= s) info.alpha.resize(syms_.size(), -2);
+  if (info.alpha.size() <= s) info.alpha.resize(names_->size(), -2);
   int& a = info.alpha[s];
-  if (a == -2) a = info.plan->automaton->FindAlphabetId(syms_.name(s));
+  if (a == -2) a = info.plan->automaton->FindAlphabetId(names_->name(s));
   return a;
 }
 
@@ -307,11 +313,7 @@ void StreamRun::OnText(const StreamEvent& ev) {
     }
     run_qualified_ = true;
     // The whole run is exactly one text child of the open element.
-    Frame& top = Top();
-    if (top.track_word) {
-      top.word.push_back(kInvalidSymbol);
-      top.info->plan->automaton->Step(&top.run, top.info->text_alpha);
-    }
+    StepText();
     if (!run_prefix_.empty()) {
       AppendToCaptures(run_prefix_);
       run_prefix_.clear();
@@ -320,7 +322,15 @@ void StreamRun::OnText(const StreamEvent& ev) {
   AppendToCaptures(ev.text);
 }
 
-void StreamRun::StepParent(Symbol label, std::string_view name) {
+void StreamRun::StepText() {
+  Frame& top = Top();
+  if (top.track_word) {
+    top.word.push_back(kInvalidSymbol);
+    top.info->plan->automaton->Step(&top.run, top.info->text_alpha);
+  }
+}
+
+void StreamRun::StepParent(Symbol label) {
   if (depth_ == 0) return;
   Frame& parent = Top();
   if (parent.track_word) {
@@ -329,6 +339,7 @@ void StreamRun::StepParent(Symbol label, std::string_view name) {
                                        AlphaOf(*parent.info, label));
   }
   if (parent.info->tplan != nullptr) {
+    const std::string& name = names_->name(label);
     const std::vector<std::string>& names = parent.info->tplan->fields;
     for (size_t i = 0; i < names.size(); ++i) {
       FieldState& fs = parent.fields[i];
@@ -346,10 +357,10 @@ void StreamRun::OnStart(const StreamEvent& ev) {
   const Symbol label = syms_.Intern(ev.name);
   // The child steps the parent's content-model run, and may be the
   // unique sub-element some parent field captures.
-  StepParent(label, ev.name);
+  StepParent(label);
 
   const uint32_t seq = next_seq_++;
-  LabelInfo& info = Prepare(label, ev.name);
+  LabelInfo& info = Prepare(label);
 
   // Attributes sorted by name, the order the DOM tree stores and the
   // validator visits them in. Values stay raw views; they are split into
@@ -365,73 +376,81 @@ void StreamRun::OnStart(const StreamEvent& ev) {
   std::sort(attrs_.begin(), attrs_.end(),
             [](const AttrRef& a, const AttrRef& b) { return a.name < b.name; });
 
-  // Structural checks at the start tag (the content model waits for the
-  // end tag; Rank() restores the DOM emission order).
-  if (compile_ok_) {
-    if (seq == 0 && ev.name != plan_.dtd.root()) {
-      AddSViol(0, Rank(0, 0), "root labeled " + std::string(ev.name) +
-                                  ", expected " + plan_.dtd.root());
-    }
-    if (!info.plan.has_value()) {
-      AddSViol(seq, Rank(1, 0),
-               "undeclared element type " + std::string(ev.name));
-    } else {
-      const std::vector<std::string>& names = *info.plan->attr_names;
-      const std::vector<bool>& single = *info.plan->attr_single;
-      size_t declared_present = 0;
-      for (size_t idx = 0; idx < attrs_.size(); ++idx) {
-        const AttrRef& a = attrs_[idx];
-        auto it = std::lower_bound(names.begin(), names.end(), a.name);
-        if (it == names.end() || *it != a.name) {
-          AddSViol(seq, Rank(3, idx), "undeclared attribute " +
-                                          std::string(ev.name) + "." +
-                                          std::string(a.name));
-          continue;
-        }
-        ++declared_present;
-        const size_t slot = static_cast<size_t>(it - names.begin());
-        // A value that is not split is one token, so only set-valued
-        // tokenization can break a single-valued declaration.
-        if (!single[slot] || !a.set_valued) continue;
-        Tokenize(a);
-        if (tokens_.size() != 1) {
-          AddSViol(seq, Rank(3, idx),
-                   "single-valued attribute " + std::string(ev.name) + "." +
-                       std::string(a.name) + " holds " +
-                       std::to_string(tokens_.size()) + " values");
-        }
-      }
-      if (!options_.validation.allow_missing_attributes &&
-          declared_present != names.size()) {
-        for (size_t j = 0; j < names.size(); ++j) {
-          if (FindAttr(names[j]) == nullptr) {
-            AddSViol(seq, Rank(4, j), "missing declared attribute " +
-                                          std::string(ev.name) + "." +
-                                          names[j]);
-          }
-        }
-      }
-    }
-  }
-
+  if (compile_ok_) CheckStartTag(seq, label, info);
   OpenFrame(seq, label, info);
 }
 
 void StreamRun::OnTreeVertex(const DataTree& tree, VertexId v) {
   const Symbol label = tree.label_symbol(v);
-  const std::string& name = tree.label(v);
-  StepParent(label, name);
-  LabelInfo& info = Prepare(label, name);
-  // Only fields and the ID table read attributes here. The tree keeps a
-  // vertex's attributes sorted by name already.
+  StepParent(label);
+  LabelInfo& info = Prepare(label);
+  // Only the structural checks, fields and the ID table read attributes.
+  // The tree keeps a vertex's attributes sorted by name already.
   attrs_.clear();
-  if (info.tplan != nullptr || info.has_id_attr) {
+  if (compile_ok_ || info.tplan != nullptr || info.has_id_attr) {
     for (const DataTree::AttrEntry& e : tree.attributes(v).entries()) {
       attrs_.push_back(
           AttrRef{tree.symbols().name(e.name), {}, false, &e.value});
     }
   }
+  if (compile_ok_) CheckStartTag(v, label, info);
   OpenFrame(v, label, info);
+}
+
+// Structural checks at the start tag, shared by both feeds once attrs_
+// holds the vertex's attributes (the content model waits for the end
+// tag; Rank() restores the report order).
+void StreamRun::CheckStartTag(uint32_t seq, Symbol label,
+                              const LabelInfo& info) {
+  // The name is looked up only where a message or the root check reads it.
+  auto name = [&]() -> const std::string& { return names_->name(label); };
+  if (seq == 0 && name() != plan_.dtd.root()) {
+    AddSViol(0, Rank(0, 0), "root labeled " + name() +
+                                ", expected " + plan_.dtd.root());
+  }
+  if (!info.plan.has_value()) {
+    AddSViol(seq, Rank(1, 0), "undeclared element type " + name());
+    return;
+  }
+  const std::vector<std::string>& names = *info.plan->attr_names;
+  const std::vector<bool>& single = *info.plan->attr_single;
+  size_t declared_present = 0;
+  for (size_t idx = 0; idx < attrs_.size(); ++idx) {
+    const AttrRef& a = attrs_[idx];
+    auto it = std::lower_bound(names.begin(), names.end(), a.name);
+    if (it == names.end() || *it != a.name) {
+      AddSViol(seq, Rank(3, idx), "undeclared attribute " + name() +
+                                      "." + std::string(a.name));
+      continue;
+    }
+    ++declared_present;
+    const size_t slot = static_cast<size_t>(it - names.begin());
+    if (!single[slot]) continue;
+    // A tree counts its value set; a text-feed value that is not split is
+    // one token, so only set-valued tokenization can break the declaration.
+    size_t count = 1;
+    if (a.values != nullptr) {
+      count = a.values->size();
+    } else if (a.set_valued) {
+      Tokenize(a);
+      count = tokens_.size();
+    }
+    if (count != 1) {
+      AddSViol(seq, Rank(3, idx),
+               "single-valued attribute " + name() + "." +
+                   std::string(a.name) + " holds " + std::to_string(count) +
+                   " values");
+    }
+  }
+  if (!options_.validation.allow_missing_attributes &&
+      declared_present != names.size()) {
+    for (size_t j = 0; j < names.size(); ++j) {
+      if (FindAttr(names[j]) == nullptr) {
+        AddSViol(seq, Rank(4, j), "missing declared attribute " +
+                                      name() + "." + names[j]);
+      }
+    }
+  }
 }
 
 // Shared by both feeds once attrs_ holds the vertex's attributes.
@@ -459,7 +478,7 @@ void StreamRun::OpenFrame(uint32_t seq, Symbol label, LabelInfo& info) {
   frame.track_word = compile_ok_ && info.plan.has_value() &&
                      info.plan->automaton != nullptr;
   frame.word.clear();
-  if (frame.track_word) frame.run = info.plan->automaton->StartRun();
+  if (frame.track_word) GlushkovAutomaton::Restart(&frame.run);
   if (info.tplan != nullptr) {
     const TypePlan& tp = *info.tplan;
     if (frame.fields.size() < tp.fields.size()) {
@@ -498,11 +517,12 @@ void StreamRun::OnEnd() {
     rendered.reserve(frame.word.size());
     for (Symbol s : frame.word) {
       rendered.push_back(s == kInvalidSymbol ? std::string(kStringSymbol)
-                                             : syms_.name(s));
+                                             : names_->name(s));
     }
     AddSViol(frame.seq, Rank(2, 0),
              "children [" + Join(rendered, " ") +
-                 "] do not match content model of " + syms_.name(frame.label));
+                 "] do not match content model of " +
+                 names_->name(frame.label));
   }
   if (frame.info->tplan != nullptr) EmitRoles(frame);
   while (!captures_.empty() && captures_.back().depth > depth_) {
@@ -687,58 +707,60 @@ StreamOutcome StreamRun::Run(StreamTokenizer& tok,
   return out;
 }
 
-ConstraintReport StreamRun::RunTree(const DataTree& tree) {
-  ConstraintReport report;
-  // Parentless vertices first (the root, then detached subtrees), then
-  // whatever only a parent cycle reaches: ExtentIndex counts every
-  // vertex, so the walk visits each one once.
-  std::vector<bool> seen(tree.size());
+StreamOutcome StreamRun::RunTree(const DataTree& tree) {
+  names_ = &tree.symbols();
+  StreamOutcome out;
+  if (compile_ok_ && tree.empty()) {
+    AddSViol(kInvalidVertex, Rank(0, 0), "empty document");
+  }
+  // A DataTree is a forest: each parentless vertex (the root, then any
+  // detached subtree) heads one subtree, and together they hold every
+  // vertex once.
+  const char* what =
+      validator_ != nullptr ? "structural validation" : "constraint check";
   std::vector<std::pair<VertexId, size_t>> stack;  // vertex, next child
-  size_t visited = 0;
   auto open = [&](VertexId v) {
-    if ((visited++ & 0x3FF) == 0) {
-      if (Status s = deadline_.Check("constraint check"); !s.ok()) {
-        report.status = std::move(s);
+    if ((next_seq_ & 0x3FF) == 0) {
+      if (Status s = deadline_.Check(what); !s.ok()) {
+        out.structure.status = s;
+        out.constraints.status = std::move(s);
         return false;
       }
     }
-    seen[v] = true;
+    ++next_seq_;
     OnTreeVertex(tree, v);
     stack.emplace_back(v, 0);
     return true;
   };
-  for (bool cycles : {false, true}) {
-    for (VertexId top = 0; top < tree.size(); ++top) {
-      if (seen[top] || (!cycles && tree.parent(top) != kInvalidVertex)) {
+  for (VertexId top = 0; top < tree.size(); ++top) {
+    if (tree.parent(top) != kInvalidVertex) continue;
+    if (!open(top)) return out;
+    while (!stack.empty()) {
+      auto& [v, next] = stack.back();
+      const std::vector<Child>& children = tree.children(v);
+      if (next == children.size()) {
+        OnEnd();
+        stack.pop_back();
         continue;
       }
-      if (!open(top)) return report;
-      while (!stack.empty()) {
-        auto& [v, next] = stack.back();
-        const std::vector<Child>& children = tree.children(v);
-        if (next == children.size()) {
-          OnEnd();
-          stack.pop_back();
-          continue;
-        }
-        const Child& child = children[next++];
-        if (const std::string* text = std::get_if<std::string>(&child)) {
-          AppendToCaptures(*text);  // every text child counts
-        } else if (VertexId w = std::get<VertexId>(child); !seen[w]) {
-          if (!open(w)) return report;
-        }
+      const Child& child = children[next++];
+      if (const std::string* text = std::get_if<std::string>(&child)) {
+        StepText();  // every text child counts
+        AppendToCaptures(*text);
+      } else if (!open(std::get<VertexId>(child))) {
+        return out;
       }
     }
   }
-  AssembleConstraints(&report);
-  report.steps = field_steps_;
-  return report;
+  out.stats.vertices = next_seq_;
+  Assemble(&out);
+  return out;
 }
 
 void StreamRun::Assemble(StreamOutcome* out) {
-  // Structure: restore the DOM validator's emission order.
+  // Structure: restore the report order.
   if (!compile_ok_) {
-    out->structure.status = validator_->status();
+    if (validator_ != nullptr) out->structure.status = validator_->status();
   } else {
     std::stable_sort(sviols_.begin(), sviols_.end(),
                      [](const SViol& a, const SViol& b) {
@@ -1025,6 +1047,8 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
   }
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Entry points
 
@@ -1140,14 +1164,13 @@ SelfDescribingStreamResult StreamValidateSelfDescribing(
   return r;
 }
 
-ConstraintReport CheckTreeConstraints(const ConstraintPlan& plan,
-                                      const DataTree& tree,
-                                      size_t max_violations,
-                                      const Deadline& deadline) {
-  StreamOptions options;
-  options.check.max_violations = max_violations;
-  options.spill_budget_bytes = 0;  // the tree is in memory: never spill
-  StreamRun run(plan, options, nullptr, nullptr, deadline);
+StreamOutcome CheckTree(const ConstraintPlan& plan,
+                        const StructuralValidator* validator,
+                        const DataTree& tree, const StreamOptions& options,
+                        const Deadline& deadline) {
+  StreamOptions in_memory = options;
+  in_memory.spill_budget_bytes = 0;  // the tree is in memory: never spill
+  StreamRun run(plan, in_memory, validator, nullptr, deadline);
   return run.RunTree(tree);
 }
 

@@ -10,8 +10,8 @@
 //     labels and qualifying text runs step it as they arrive, and
 //     acceptance is decided at the end tag. Attribute checks run at the
 //     start tag. Peak state is O(open-element depth), plus one interned
-//     child-label word per open element (needed only to render the DOM
-//     checker's exact violation message).
+//     child-label word per open element (needed only to render the
+//     content-model violation message).
 //
 //   * Constraints: only the field tuples that constraints actually
 //     mention are extracted -- attributes at the start tag, unique
@@ -42,14 +42,17 @@
 // tests/stream_alloc_test.cc pins the constant allocation count.
 //
 // Verdict parity: vertex ids equal the DOM parser's pre-order AddVertex
-// ids, so this text feed over a document and the tree feed
-// (CheckTreeConstraints) over its parsed tree append the same records to
-// the same post-pass. Structural violations are re-ordered to the DOM
-// validator's emission order, constraint violations to vertex order per
-// constraint, and messages reuse the same rendering, so
-// ValidationReport::ToString() and ConstraintReport::ToString() are
-// byte-identical to the materialized pipeline on every document (pinned
-// by the stream oracle in src/fuzzing/ and tests/stream_test.cc).
+// ids, so this text feed over a document and the tree feed (CheckTree)
+// over its parsed tree make the same start-tag and content-model checks
+// and append the same records to the same post-pass. Structural
+// violations are sorted to vertex order (phases within a vertex in
+// Definition 2.4's order), constraint violations to vertex order per
+// constraint, so ValidationReport::ToString() and
+// ConstraintReport::ToString() are byte-identical between the feeds on
+// every document (pinned by the stream oracle in src/fuzzing/ and
+// tests/stream_test.cc). The tree feed's structure report is held to
+// NaiveValidate and its constraint report to NaiveCheck, the two
+// independent references.
 
 #ifndef XIC_ENGINE_STREAM_VALIDATOR_H_
 #define XIC_ENGINE_STREAM_VALIDATOR_H_
@@ -179,18 +182,23 @@ struct SelfDescribingStreamResult {
 SelfDescribingStreamResult StreamValidateSelfDescribing(
     ByteSource& source, const StreamOptions& options = {});
 
-/// The tree feed, behind ConstraintChecker::Check: the constraint half of
-/// the engine run over an in-memory tree instead of tokenizer events.
-/// Each vertex's seq is its own VertexId; every vertex is visited (the
-/// root's subtree first, then vertices no path from the root reaches);
-/// attribute value sets are the token sets as they stand; every text
-/// child counts. The logs never spill (budget 0: the tree is already in
-/// memory), no structural findings are made, and the deadline is polled
-/// every 1,024 vertices and between constraints.
-ConstraintReport CheckTreeConstraints(const ConstraintPlan& plan,
-                                      const DataTree& tree,
-                                      size_t max_violations,
-                                      const Deadline& deadline);
+/// The tree feed, behind StructuralValidator::Validate (non-null
+/// `validator`, empty Sigma) and ConstraintChecker::Check (null: no
+/// structural findings): the engine run over an in-memory tree. Each
+/// vertex's seq is its own VertexId; each parentless vertex's subtree is
+/// walked in id order, so every vertex counts once. Attribute value sets
+/// are the token sets as they stand; every text child counts, stepping
+/// its parent's content model as #PCDATA; names come from the tree's
+/// SymbolTable. An empty tree is the structural violation "empty
+/// document" at kInvalidVertex. Of `options` only `validation` and
+/// `check` are read: the logs never spill. The deadline is polled every
+/// 1,024 vertices ("structural validation" with a validator, else
+/// "constraint check") and between constraints; on expiry both reports
+/// carry the status and no violations.
+StreamOutcome CheckTree(const ConstraintPlan& plan,
+                        const StructuralValidator* validator,
+                        const DataTree& tree, const StreamOptions& options,
+                        const Deadline& deadline);
 
 }  // namespace xic
 

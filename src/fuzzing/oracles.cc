@@ -611,10 +611,10 @@ std::string RenderValidation(const ValidationReport& report) {
 // (ParseDocumentWithDtdC + StructuralValidator + ConstraintChecker, the
 // engine's tree feed) and streaming (StreamValidateSelfDescribing, its
 // text feed) -- and demands byte-identical verdicts at every stage. Both
-// constraint reports share one evaluator, so the tree's is also held to
-// NaiveCheck, the independent reference. `text` need not be well-formed
-// XML: a parse failure is itself compared (same status text, same
-// position).
+// feeds share one engine, so the tree's structure report is also held
+// to NaiveValidate and its constraint report to NaiveCheck, the
+// independent references. `text` need not be well-formed XML: a parse
+// failure is itself compared (same status text, same position).
 std::optional<std::string> CompareStream(const std::string& text,
                                          size_t spill_budget,
                                          bool allow_missing) {
@@ -662,6 +662,14 @@ std::optional<std::string> CompareStream(const std::string& text,
     return "structure report diverged:\n--- DOM ---\n" +
            dom_structure.ToString() + "--- stream ---\n" +
            s.outcome.structure.ToString();
+  }
+  ValidationReport naive_structure =
+      NaiveValidate(dtd, doc.document.tree, vopt);
+  if (naive_structure.ToString() != dom_structure.ToString()) {
+    return "NaiveValidate and the engine diverge on structure:\n"
+           "--- engine ---\n" +
+           dom_structure.ToString() + "--- naive ---\n" +
+           naive_structure.ToString();
   }
 
   if (doc.sigma.has_value() != s.sigma.has_value()) {

@@ -24,6 +24,20 @@ Status DataTree::AddChildVertex(VertexId parent, VertexId child) {
   if (parents_[child] != kInvalidVertex) {
     return Status::InvalidArgument("vertex already has a parent");
   }
+  // A child with no vertex children is no vertex's ancestor, so only a
+  // self-loop can close a cycle: every ParseXml attach (a fresh vertex)
+  // stops here. Otherwise walk `parent`'s ancestor chain.
+  const std::vector<Child>& below = children_[child];
+  if (child == parent ||
+      std::any_of(below.begin(), below.end(), [](const Child& c) {
+        return std::holds_alternative<VertexId>(c);
+      })) {
+    for (VertexId a = parent; a != kInvalidVertex; a = parents_[a]) {
+      if (a == child) {
+        return Status::InvalidArgument("the edge would close a parent cycle");
+      }
+    }
+  }
   parents_[child] = parent;
   children_[parent].emplace_back(child);
   return Status::OK();

@@ -121,7 +121,11 @@ class DataTree {
   VertexId AddVertex(std::string_view element_name);
 
   /// Appends `child` as the last child of `parent`. Fails if `child`
-  /// already has a parent or if the edge would break the tree shape.
+  /// already has a parent or if the edge would break the tree shape: the
+  /// root as a child, `child == parent`, or `child` an ancestor of
+  /// `parent`. The cycle check is O(1) when `child` has no vertex
+  /// children and walks `parent`'s ancestors otherwise, so the vertices
+  /// always form a forest.
   Status AddChildVertex(VertexId parent, VertexId child);
 
   /// Appends a string child (character data) to `parent`.

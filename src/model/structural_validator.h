@@ -11,10 +11,17 @@
 //
 // `allow_missing_attributes` relaxes the "only if" direction (XML
 // #IMPLIED attributes); undeclared attributes are always rejected.
+//
+// There is one structural checker: Validate runs the streaming engine's
+// tree feed (CheckTree, engine/stream_validator.h) with structural
+// findings on, so the class compiles into xic_engine; its header stays
+// here. NaiveValidate is Definition 2.4 as written, kept only as the test
+// reference (tests/model_test.cc and the `stream` fuzz oracle).
 
 #ifndef XIC_MODEL_STRUCTURAL_VALIDATOR_H_
 #define XIC_MODEL_STRUCTURAL_VALIDATOR_H_
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -67,8 +74,10 @@ class StructuralValidator {
   /// status on every document.
   const Status& status() const { return status_; }
 
-  /// Validates the tree; the report lists every violation found. The
-  /// deadline is polled once per vertex.
+  /// Validates the tree; the report lists every violation found, in
+  /// vertex-id order. The deadline is polled every 1,024 vertices; on
+  /// expiry the report carries "structural validation: deadline
+  /// exceeded" and no violations.
   ValidationReport Validate(const DataTree& tree) const {
     return Validate(tree, Deadline::Infinite());
   }
@@ -93,27 +102,31 @@ class StructuralValidator {
   std::optional<PlanView> PlanFor(std::string_view element) const;
 
  private:
-  /// Per-element-type compiled form: the content-model automaton plus the
-  /// declared attributes (sorted by name, as DtdStructure stores them).
-  /// Built once in the constructor; Validate translates each document's
-  /// interned symbols against these plans once per document, so the
-  /// per-vertex work is pure integer comparisons.
+  /// Per-element-type compiled form: the content-model automaton (none
+  /// when the model does not parse) plus the declared attributes (sorted
+  /// by name, as DtdStructure stores them). Built once in the constructor.
   struct ElementPlan {
-    int index = 0;  // dense id, indexes per-document caches
-    const GlushkovAutomaton* automaton = nullptr;
+    std::optional<GlushkovAutomaton> automaton;
     std::vector<std::string> attr_names;  // sorted
     std::vector<bool> attr_single;        // parallel: single-valued?
   };
 
-  ValidationReport ValidateImpl(const DataTree& tree,
-                                const Deadline& deadline) const;
-
   const DtdStructure& dtd_;
   ValidationOptions options_;
   Status status_;
-  std::map<std::string, GlushkovAutomaton> automata_;
   std::map<std::string, ElementPlan, std::less<>> plans_;
 };
+
+/// Definition 2.4 as written, the reference Validate is tested against:
+/// per vertex in id order, GlushkovAutomaton::Matches on
+/// DataTree::ChildWord (a fresh automaton each time) plus DTD attribute
+/// lookups, no caches. Not a production path. Same status, violations
+/// and order as StructuralValidator(dtd, options).Validate; the
+/// deadline is polled once per vertex and `steps` stays 0.
+ValidationReport NaiveValidate(const DtdStructure& dtd, const DataTree& tree,
+                               const ValidationOptions& options = {},
+                               const Deadline& deadline =
+                                   Deadline::Infinite());
 
 }  // namespace xic
 

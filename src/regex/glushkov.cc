@@ -1,7 +1,5 @@
 #include "regex/glushkov.h"
 
-#include <bit>
-
 #include "obs/obs.h"
 
 namespace xic {
@@ -99,14 +97,12 @@ void GlushkovAutomaton::BuildAlphabet() {
 }
 
 bool GlushkovAutomaton::Matches(const std::vector<std::string>& word) const {
-  if (word.empty()) return nullable_;
-  std::vector<int> ids;
-  ids.reserve(word.size());
-  for (const std::string& label : word) ids.push_back(FindAlphabetId(label));
-  return MatchesIds(ids.data(), ids.size());
+  RunState run;
+  for (const std::string& label : word) Step(&run, FindAlphabetId(label));
+  return Accepts(run);
 }
 
-void GlushkovAutomaton::Step(RunState* run, int alpha) const {
+void GlushkovAutomaton::StepSlow(RunState* run, int alpha) const {
   if (run->dead) return;
   if (alpha < 0) {  // foreign symbol: no transition
     // started must flip too: a dead run that consumed input is not the
@@ -115,22 +111,7 @@ void GlushkovAutomaton::Step(RunState* run, int alpha) const {
     run->dead = true;
     return;
   }
-  if (use_masks_) {
-    uint64_t current;
-    if (!run->started) {
-      current = first_mask_ & alpha_masks_[alpha];
-    } else {
-      uint64_t reachable = 0;
-      for (uint64_t bits = run->mask; bits != 0; bits &= bits - 1) {
-        reachable |= follow_masks_[std::countr_zero(bits)];
-      }
-      current = reachable & alpha_masks_[alpha];
-    }
-    run->mask = current;
-    run->started = true;
-    if (current == 0) run->dead = true;
-    return;
-  }
+  // The mask path is inline in Step; this is the set fallback.
   std::set<int> next;
   if (!run->started) {
     for (int p : first_) {
@@ -148,51 +129,8 @@ void GlushkovAutomaton::Step(RunState* run, int alpha) const {
   if (run->states.empty()) run->dead = true;
 }
 
-bool GlushkovAutomaton::Accepts(const RunState& run) const {
-  if (!run.started) return nullable_;
-  if (run.dead) return false;
-  if (use_masks_) return (run.mask & last_mask_) != 0;
+bool GlushkovAutomaton::AcceptsSet(const RunState& run) const {
   for (int p : run.states) {
-    if (last_.count(p) > 0) return true;
-  }
-  return false;
-}
-
-bool GlushkovAutomaton::MatchesIds(const int* word, size_t len) const {
-  if (len == 0) return nullable_;
-  if (use_masks_) {
-    // Bitmask NFA simulation: `current` is the set of positions whose
-    // symbol matched the most recent input label.
-    uint64_t current =
-        word[0] < 0 ? 0 : first_mask_ & alpha_masks_[word[0]];
-    for (size_t i = 1; i < len; ++i) {
-      if (current == 0) return false;
-      if (word[i] < 0) return false;  // foreign symbol: no transition
-      uint64_t reachable = 0;
-      for (uint64_t bits = current; bits != 0; bits &= bits - 1) {
-        reachable |= follow_masks_[std::countr_zero(bits)];
-      }
-      current = reachable & alpha_masks_[word[i]];
-    }
-    return (current & last_mask_) != 0;
-  }
-  // Set-based fallback for huge expressions (> 64 positions); still
-  // integer compares via pos_alpha_, never strings.
-  std::set<int> current;
-  for (int p : first_) {
-    if (pos_alpha_[p] == word[0]) current.insert(p);
-  }
-  for (size_t i = 1; i < len; ++i) {
-    if (current.empty()) return false;
-    std::set<int> next;
-    for (int p : current) {
-      for (int q : follow_[p]) {
-        if (pos_alpha_[q] == word[i]) next.insert(q);
-      }
-    }
-    current = std::move(next);
-  }
-  for (int p : current) {
     if (last_.count(p) > 0) return true;
   }
   return false;

@@ -9,6 +9,7 @@
 #ifndef XIC_REGEX_GLUSHKOV_H_
 #define XIC_REGEX_GLUSHKOV_H_
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -45,11 +46,11 @@ class GlushkovAutomaton {
   // -- Alphabet-id interface (the hot path) ---------------------------------
   //
   // The expression's distinct symbols get dense ids 0..alphabet_size()-1.
-  // Callers that match many words against one automaton (the structural
-  // validator matches every vertex of every document) translate their own
-  // interned labels to alphabet ids once, then match over ids: no string
+  // Callers that match many words against one automaton (the streaming
+  // engine steps every vertex of every document) translate their own
+  // interned labels to alphabet ids once, then step over ids: no string
   // hashing or comparison per step. For expressions with at most 64
-  // positions (every real-world content model), MatchesIds runs the NFA
+  // positions (every real-world content model), Step runs the NFA
   // simulation on uint64 position bitmasks -- a step is two AND/OR passes
   // over set bits instead of std::set insertions.
 
@@ -64,16 +65,12 @@ class GlushkovAutomaton {
   /// Distinct symbols, indexed by alphabet id.
   const std::vector<std::string>& alphabet() const { return alphabet_; }
 
-  /// True iff the word (as alphabet ids; -1 for foreign symbols) matches.
-  bool MatchesIds(const int* word, size_t len) const;
-
   // -- Incremental runs (streaming validation) ------------------------------
   //
   // A RunState holds the live NFA state for one word fed label-by-label,
   // so a streaming caller can step a vertex's children as their start tags
-  // arrive instead of buffering the whole child word. Semantics match
-  // MatchesIds exactly: StartRun();  for each label Step(&run, id);
-  // Accepts(run) == MatchesIds(word, len).
+  // arrive instead of buffering the whole child word. Matches(word) is
+  // a fresh run stepped over FindAlphabetId of each label.
 
   struct RunState {
     bool started = false;  // false until the first Step (empty word so far)
@@ -82,14 +79,33 @@ class GlushkovAutomaton {
     std::set<int> states;  // current positions (set fallback, > 64 pos)
   };
 
-  /// A fresh run with no labels consumed.
-  RunState StartRun() const { return RunState{}; }
+  /// Starts `run` over with no labels consumed; a run that has not
+  /// started ignores its position sets, so their storage is kept.
+  static void Restart(RunState* run) { run->started = run->dead = false; }
 
-  /// Consumes one label (alphabet id; -1 for foreign symbols).
-  void Step(RunState* run, int alpha) const;
+  /// Consumes one label (alphabet id; -1 for foreign symbols). The mask
+  /// path is inline: the streaming engine steps once per child.
+  void Step(RunState* run, int alpha) const {
+    if (run->dead || alpha < 0 || !use_masks_) return StepSlow(run, alpha);
+    uint64_t reachable = first_mask_;
+    if (run->started) {
+      reachable = 0;
+      for (uint64_t bits = run->mask; bits != 0; bits &= bits - 1) {
+        reachable |= follow_masks_[std::countr_zero(bits)];
+      }
+    }
+    run->mask = reachable & alpha_masks_[alpha];
+    run->started = true;
+    run->dead = run->mask == 0;
+  }
 
   /// True iff the labels consumed so far form a word in L(re).
-  bool Accepts(const RunState& run) const;
+  bool Accepts(const RunState& run) const {
+    if (!run.started) return nullable_;
+    if (run.dead) return false;
+    if (use_masks_) return (run.mask & last_mask_) != 0;
+    return AcceptsSet(run);
+  }
 
   /// True iff the content model is 1-unambiguous (deterministic per the
   /// XML spec): no two distinct positions with the same symbol are both in
@@ -130,6 +146,11 @@ class GlushkovAutomaton {
   std::map<std::string, int, std::less<>> alphabet_index_;
   std::vector<std::string> alphabet_;  // alphabet id -> symbol
   std::vector<int> pos_alpha_;         // position -> alphabet id
+
+  // Step and Accepts off the mask path: dead runs, foreign symbols and
+  // the set fallback.
+  void StepSlow(RunState* run, int alpha) const;
+  bool AcceptsSet(const RunState& run) const;
 
   // Bitmask tables, populated iff num_positions() <= 64 (use_masks_).
   bool use_masks_ = false;

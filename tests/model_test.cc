@@ -1,6 +1,11 @@
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "model/data_tree.h"
+#include "model/doc_generator.h"
 #include "model/dtd_structure.h"
 #include "model/structural_validator.h"
 
@@ -79,6 +84,28 @@ TEST(DataTree, TreeInvariantEnforced) {
   EXPECT_FALSE(t.AddChildVertex(b, a).ok());
   // Out-of-range ids rejected.
   EXPECT_FALSE(t.AddChildVertex(a, 99).ok());
+}
+
+TEST(DataTree, CyclesRejected) {
+  DataTree t;
+  VertexId root = t.AddVertex("r");
+  VertexId a = t.AddVertex("a");
+  VertexId b = t.AddVertex("b");
+  VertexId c = t.AddVertex("c");
+  EXPECT_EQ(t.AddChildVertex(a, a).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(t.AddChildVertex(a, b).ok());
+  EXPECT_EQ(t.AddChildVertex(b, a).code(), StatusCode::kInvalidArgument);
+  t.AddChildText(c, "text only");
+  ASSERT_TRUE(t.AddChildVertex(b, c).ok());
+  EXPECT_EQ(t.AddChildVertex(c, a).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.AddChildVertex(c, c).code(), StatusCode::kInvalidArgument);
+  // The refused edges left nothing behind.
+  EXPECT_EQ(t.parent(a), kInvalidVertex);
+  EXPECT_TRUE(t.ChildVertices(c).empty());
+  // The detached subtree a -> b -> c still attaches elsewhere.
+  ASSERT_TRUE(t.AddChildVertex(root, a).ok());
+  EXPECT_EQ(t.parent(a), root);
+  EXPECT_EQ(t.ChildVertices(root), std::vector<VertexId>{a});
 }
 
 TEST(DataTree, Attributes) {
@@ -261,6 +288,186 @@ TEST(StructuralValidator, MaxViolationsCap) {
   }
   StructuralValidator validator(dtd, {.max_violations = 3});
   EXPECT_EQ(validator.Validate(t).violations.size(), 3u);
+}
+
+// -- Validate against NaiveValidate -----------------------------------------
+
+std::string Render(const ValidationReport& report) {
+  std::string out = report.status.ToString() + "\n";
+  for (const Violation& v : report.violations) {
+    out += std::to_string(v.vertex) + "|" + v.message + "\n";
+  }
+  return out;
+}
+
+// The engine-backed validator and Definition 2.4 as written agree on
+// the status, the violations and their order, at every truncation and
+// in both attribute modes.
+void ExpectAgree(const DtdStructure& dtd, const DataTree& tree,
+                 const std::string& what,
+                 ValidationOptions base = {},
+                 const Deadline& deadline = Deadline::Infinite()) {
+  for (bool allow_missing : {false, true}) {
+    for (size_t cap : {0, 1, 2}) {
+      ValidationOptions options = base;
+      options.allow_missing_attributes = allow_missing;
+      options.max_violations = cap;
+      EXPECT_EQ(Render(StructuralValidator(dtd, options).Validate(tree,
+                                                                  deadline)),
+                Render(NaiveValidate(dtd, tree, options, deadline)))
+          << what << " (allow_missing " << allow_missing << ", cap " << cap
+          << ")";
+    }
+  }
+}
+
+// ExpectAgree on a tree that must be invalid, so the comparison is not
+// vacuous.
+void ExpectAgreeInvalid(const DtdStructure& dtd, const DataTree& tree,
+                        const std::string& what) {
+  EXPECT_FALSE(NaiveValidate(dtd, tree).ok()) << what;
+  ExpectAgree(dtd, tree, what);
+}
+
+VertexId AddChild(DataTree* tree, VertexId parent, const std::string& label) {
+  VertexId v = tree->AddVertex(label);
+  EXPECT_TRUE(tree->AddChildVertex(parent, v).ok());
+  return v;
+}
+
+TEST(StructuralValidator, AgreesWithNaiveOnGeneratedDocuments) {
+  const DtdStructure dtd = BookDtd();
+  const std::vector<std::string> labels = {"book", "entry", "title",
+                                           "section", "ref", "alien"};
+  size_t invalid = 0;
+  for (uint32_t seed = 1; seed <= 25; ++seed) {
+    DocGenerator gen(dtd, {.seed = seed});
+    Result<DataTree> doc = gen.Generate();
+    ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+    DataTree tree = std::move(doc).value();
+    const std::string what = "seed " + std::to_string(seed);
+    EXPECT_TRUE(NaiveValidate(dtd, tree).ok()) << what;
+    ExpectAgree(dtd, tree, what);
+    // Seeded edits of every kind a vertex can violate Definition 2.4 by.
+    std::mt19937 rng(seed);
+    auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+    for (int edit = 0; edit < 4; ++edit) {
+      const VertexId v = static_cast<VertexId>(pick(tree.size()));
+      switch (pick(6)) {
+        case 0:
+          tree.AddChildText(v, pick(2) == 0 ? "" : "x");
+          break;
+        case 1:
+          AddChild(&tree, v, labels[pick(labels.size())]);
+          break;
+        case 2:
+          tree.SetAttribute(v, "bogus", "y");
+          break;
+        case 3:
+          tree.SetAttribute(v, "isbn", AttrValue{"p", "q"});
+          break;
+        case 4:
+          tree.SetAttribute(v, "sid", AttrValue{});
+          break;
+        default:
+          tree.AddVertex(labels[pick(labels.size())]);  // detached
+      }
+    }
+    if (!NaiveValidate(dtd, tree).ok()) ++invalid;
+    ExpectAgree(dtd, tree, what + ", edited");
+  }
+  EXPECT_GE(invalid, 20u);
+}
+
+TEST(StructuralValidator, AgreesWithNaiveOnHandBuiltTrees) {
+  const DtdStructure dtd = BookDtd();
+  {
+    // Detached vertices are checked like any other, in id order.
+    DataTree t = BookTree();
+    VertexId section = t.AddVertex("section");
+    AddChild(&t, section, "alien");
+    t.AddVertex("alien");
+    AddChild(&t, t.AddVertex("title"), "ref");
+    ExpectAgreeInvalid(dtd, t, "detached vertices");
+  }
+  {
+    // Every text child counts, adjacent and empty ones included.
+    DataTree t = BookTree();
+    VertexId author = t.ChildVertices(t.root())[1];
+    t.AddChildText(author, "");
+    VertexId ref = t.ChildVertices(t.root())[3];
+    t.AddChildText(ref, "");
+    VertexId title = t.ChildVertices(t.ChildVertices(t.root())[0])[0];
+    t.AddChildText(title, "more");
+    ExpectAgreeInvalid(dtd, t, "adjacent and empty text children");
+  }
+  {
+    // An empty text child is a whole #PCDATA child: the title is valid,
+    // the text-less publisher is not.
+    DataTree bare;
+    VertexId book = bare.AddVertex("book");
+    VertexId entry = AddChild(&bare, book, "entry");
+    bare.SetAttribute(entry, "isbn", "i");
+    bare.AddChildText(AddChild(&bare, entry, "title"), "");
+    AddChild(&bare, entry, "publisher");
+    AddChild(&bare, book, "ref");
+    ExpectAgreeInvalid(dtd, bare, "empty text child");
+  }
+  {
+    // A single-valued attribute holding no value, and one holding two.
+    DataTree t = BookTree();
+    t.SetAttribute(t.ChildVertices(t.root())[0], "isbn", AttrValue{});
+    t.SetAttribute(t.ChildVertices(t.root())[2], "sid", AttrValue{"a", "b"});
+    ExpectAgreeInvalid(dtd, t, "single-valued attribute with 0 and 2 values");
+  }
+  {
+    // An undeclared element's attributes are not checked.
+    DataTree t = BookTree();
+    VertexId alien = AddChild(&t, t.root(), "alien");
+    t.SetAttribute(alien, "isbn", AttrValue{"a", "b"});
+    t.SetAttribute(alien, "zz", "z");
+    ExpectAgreeInvalid(dtd, t, "undeclared element with attributes");
+  }
+  {
+    // An undeclared child fails its parent's content model.
+    DataTree t = BookTree();
+    VertexId section = t.ChildVertices(t.root())[2];
+    AddChild(&t, section, "alien");
+    AddChild(&t, section, "text");
+    ExpectAgreeInvalid(dtd, t, "undeclared child in a content model");
+  }
+  {
+    // A wrong root label, attributes in name order, several findings on
+    // one vertex.
+    DataTree t;
+    VertexId section = t.AddVertex("section");
+    t.SetAttribute(section, "zeta", "1");
+    t.SetAttribute(section, "alpha", "2");
+    AddChild(&t, section, "ref");
+    ExpectAgreeInvalid(dtd, t, "wrong root");
+  }
+  ExpectAgreeInvalid(dtd, DataTree(), "empty tree");
+  {
+    // A DTD over max_automaton_states: the status, on every document.
+    ValidationOptions tight;
+    tight.limits.max_automaton_states = 2;
+    ASSERT_FALSE(StructuralValidator(dtd, tight).status().ok());
+    ExpectAgree(dtd, BookTree(), "automaton limit", tight);
+    ExpectAgree(dtd, DataTree(), "automaton limit, empty tree", tight);
+  }
+  {
+    // An expired deadline: the status, no violations.
+    DataTree t;
+    t.AddVertex("alien");
+    ValidationReport report =
+        StructuralValidator(dtd).Validate(t, Deadline::Expired());
+    EXPECT_EQ(report.status.ToString(),
+              Status::DeadlineExceeded(
+                  "structural validation: deadline exceeded")
+                  .ToString());
+    EXPECT_TRUE(report.violations.empty());
+    ExpectAgree(dtd, t, "expired deadline", {}, Deadline::Expired());
+  }
 }
 
 }  // namespace

@@ -439,7 +439,7 @@ TEST(ObsDisabledTest, ProbesCompileToNoOps) {
   XIC_HISTOGRAM_OBSERVE("off.hist", touch(), {1.0});
   EXPECT_EQ(evaluations, 0);
 
-  ScopedTraceSession session;
+  [[maybe_unused]] ScopedTraceSession session;
   ScopedSpan span("off", "test");
   EXPECT_FALSE(span.active());
   EXPECT_FALSE(Tracer::Global().enabled());
