@@ -3,6 +3,7 @@
 #include <deque>
 #include <optional>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,7 +23,10 @@ std::string ConstraintReport::ToString(const ConstraintSet& sigma) const {
 }
 
 ConstraintPlan::ConstraintPlan(const DtdStructure& d, const ConstraintSet& s)
-    : dtd(d), sigma(s), inverse_keys(s.constraints.size()) {
+    : dtd(d),
+      sigma(s),
+      logs(s.constraints.size()),
+      inverse_keys(s.constraints.size()) {
   auto field_index = [this](TypePlan* plan, const std::string& element,
                             const std::string& name) -> size_t {
     for (size_t i = 0; i < plan->fields.size(); ++i) {
@@ -32,37 +36,49 @@ ConstraintPlan::ConstraintPlan(const DtdStructure& d, const ConstraintSet& s)
     plan->field_declared.push_back(dtd.HasAttribute(element, name));
     return plan->fields.size() - 1;
   };
-  auto add_role = [&](const std::string& element, Role::Kind kind, size_t ci,
-                      const std::vector<std::string>& names) {
+  auto add_role = [&](const std::string& element, Role::Kind kind,
+                      size_t index, const std::vector<std::string>& names) {
     TypePlan& plan = type_plans[element];
     Role role;
     role.kind = kind;
-    role.constraint = ci;
+    role.index = index;
     role.fields.reserve(names.size());
     for (const std::string& name : names) {
       role.fields.push_back(field_index(&plan, element, name));
     }
     plan.roles.push_back(std::move(role));
   };
+  // One log per distinct (type, ordered field list, tuple or values):
+  // the first constraint to need an extent adds its role, later ones
+  // reuse the log id.
+  std::map<std::tuple<std::string, std::vector<std::string>, Role::Kind>,
+           size_t>
+      log_ids;
+  auto log_of = [&](const std::string& element, Role::Kind kind,
+                    const std::vector<std::string>& names) {
+    auto [it, added] = log_ids.try_emplace({element, names, kind}, log_count);
+    if (added) add_role(element, kind, log_count++, names);
+    return it->second;
+  };
   for (size_t i = 0; i < sigma.constraints.size(); ++i) {
     const Constraint& c = sigma.constraints[i];
     switch (c.kind) {
       case ConstraintKind::kKey:
-        add_role(c.element, Role::kKeyTuple, i, c.attrs);
+        logs[i].ext = log_of(c.element, Role::kTuple, c.attrs);
         break;
       case ConstraintKind::kForeignKey:
-        add_role(c.element, Role::kFkTuple, i, c.attrs);
-        add_role(c.ref_element, Role::kFkTarget, i, c.ref_attrs);
+        logs[i].ext = log_of(c.element, Role::kTuple, c.attrs);
+        logs[i].target = log_of(c.ref_element, Role::kTuple, c.ref_attrs);
         break;
       case ConstraintKind::kSetForeignKey:
         if (c.attrs.empty() || c.ref_attrs.empty()) break;
-        add_role(c.element, Role::kSfkSource, i, {c.attr()});
-        add_role(c.ref_element, Role::kSfkTarget, i, {c.ref_attr()});
+        logs[i].ext = log_of(c.element, Role::kValues, {c.attr()});
+        logs[i].target = log_of(c.ref_element, Role::kTuple, {c.ref_attr()});
         break;
       case ConstraintKind::kId:
         needs_global_ids = true;
         if (c.attrs.empty()) break;
-        add_role(c.element, Role::kIdExt, i, {c.attr()});
+        logs[i].ext = log_of(c.element, Role::kTuple, {c.attr()});
         break;
       case ConstraintKind::kInverse: {
         InverseKeys& keys = inverse_keys[i];

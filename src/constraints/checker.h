@@ -84,20 +84,19 @@ struct ConstraintPlan {
   /// The DTD and Sigma must outlive the plan and stay unmodified.
   ConstraintPlan(const DtdStructure& dtd, const ConstraintSet& sigma);
 
-  /// Per-constraint-position extraction roles of one element type.
+  /// Per-vertex extraction roles of one element type. A tuple or value
+  /// role fills one extent log; every constraint that reads the same
+  /// extent names the same log (see `logs`).
   struct Role {
     enum Kind {
-      kKeyTuple,   // ext(tau) of a key: encoded tuple -> ext log
-      kFkTuple,    // ext(tau) of a foreign key: tuple -> ext log
-      kFkTarget,   // ext(tau') of a foreign key: tuple -> target log
-      kSfkSource,  // ext(tau) of a set-valued FK: each value -> ext log
-      kSfkTarget,  // ext(tau') of a set-valued FK: value -> target log
-      kIdExt,      // ext(tau) of an ID constraint: value -> ext log
-      kInvExt,     // ext(tau) of an inverse: (key, set) -> in-memory
-      kInvRef,     // ext(tau') of an inverse: (key, set) -> in-memory
+      kTuple,   // the encoded tuple of `fields` -> log `index`
+      kValues,  // each value of the set-valued field -> log `index`,
+                // encoded as a 1-tuple and ranked by its set position
+      kInvExt,  // ext(tau) of inverse `index`: (key, set) -> in-memory
+      kInvRef,  // ext(tau') of inverse `index`: (key, set) -> in-memory
     };
     Kind kind;
-    size_t constraint;
+    size_t index;                // log id (kTuple, kValues) or constraint
     std::vector<size_t> fields;  // indexes into TypePlan::fields
   };
 
@@ -118,9 +117,22 @@ struct ConstraintPlan {
     std::string key, ref_key;
   };
 
+  /// The extent logs one constraint reads, by log id: ext(tau) for keys,
+  /// IDs and foreign-key sources; ext(tau') for foreign-key targets. A
+  /// key, an ID and every foreign key into the same (type, ordered field
+  /// list) share one log, so that extent is appended, sorted and spilled
+  /// once. kNoLog where the constraint reads no such log.
+  static constexpr size_t kNoLog = static_cast<size_t>(-1);
+  struct ConstraintLogs {
+    size_t ext = kNoLog;
+    size_t target = kNoLog;
+  };
+
   const DtdStructure& dtd;
   const ConstraintSet& sigma;
   std::map<std::string, TypePlan, std::less<>> type_plans;
+  std::vector<ConstraintLogs> logs;  // parallel to sigma.constraints
+  size_t log_count = 0;
   std::vector<InverseKeys> inverse_keys;  // parallel to sigma.constraints
   /// Some constraint is an L_id ID constraint, so the document-wide ID
   /// table is needed.

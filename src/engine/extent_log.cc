@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +24,10 @@ namespace {
 // endianness is fine.
 constexpr size_t kHeaderBytes = 3 * sizeof(uint32_t);
 
+// A spill writes its run through one buffer of this size, not a
+// serialized copy of the whole batch.
+constexpr size_t kSpillBufferBytes = 256u << 10;
+
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -31,6 +36,21 @@ uint32_t GetU32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
+}
+
+// Writes all of [data, data + size) to `fd`, retrying on EINTR.
+Status WriteAll(int fd, const char* data, size_t size) {
+  while (size > 0) {
+    ssize_t n = write(fd, data, size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Unavailable("spill write failed: " +
+                                 ErrnoMessage(errno));
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  return Status::OK();
 }
 
 // Accounting charge of one record: payload plus per-entry overhead, an
@@ -186,27 +206,29 @@ Status TupleLog::SpillBatch() {
   if (entries_.empty()) return Status::OK();
   XIC_RETURN_IF_ERROR(EnsureFile());
   SortBatch();
-  std::string buf;
-  buf.reserve(heap_.size() + entries_.size() * (kHeaderBytes + kPrefix));
+  // The buffer is the budget's, reused by every spill of the run. It
+  // grows past kSpillBufferBytes only to hold one larger record.
+  std::string& buf = budget_->spill_buf_;
+  buf.clear();
+  buf.reserve(kSpillBufferBytes);
+  uint64_t bytes = 0;
   for (const Entry& e : entries_) {
+    const std::string_view payload = PayloadOf(e);
+    if (!buf.empty() &&
+        buf.size() + kHeaderBytes + payload.size() > kSpillBufferBytes) {
+      XIC_RETURN_IF_ERROR(WriteAll(fd_, buf.data(), buf.size()));
+      buf.clear();
+    }
     PutU32(&buf, e.seq);
     PutU32(&buf, e.rank);
     PutU32(&buf, e.len);
-    buf.append(PayloadOf(e));
+    buf.append(payload);
+    bytes += kHeaderBytes + payload.size();
   }
-  size_t written = 0;
-  while (written < buf.size()) {
-    ssize_t n = write(fd_, buf.data() + written, buf.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable("spill write failed: " +
-                                 ErrnoMessage(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  runs_.push_back(Run{file_bytes_, buf.size()});
-  file_bytes_ += buf.size();
-  budget_->spilled_ += buf.size();
+  XIC_RETURN_IF_ERROR(WriteAll(fd_, buf.data(), buf.size()));
+  runs_.push_back(Run{file_bytes_, bytes});
+  file_bytes_ += bytes;
+  budget_->spilled_ += bytes;
   budget_->runs_ += 1;
   budget_->in_memory_ -= charged_;
   charged_ = 0;
@@ -318,8 +340,10 @@ void EncodeTupleInto(const std::vector<std::string_view>& values,
                      std::string* out) {
   out->clear();
   for (std::string_view v : values) {
-    *out += std::to_string(v.size());
-    *out += ':';
+    char digits[20];  // any size_t in decimal
+    char* end = std::to_chars(digits, digits + sizeof(digits), v.size()).ptr;
+    out->append(digits, end);
+    out->push_back(':');
     out->append(v);
   }
 }
@@ -338,6 +362,10 @@ std::vector<std::string> DecodeTuple(std::string_view payload) {
     i += len;
   }
   return out;
+}
+
+std::string_view DecodeSingle(std::string_view payload) {
+  return payload.substr(payload.find(':') + 1);
 }
 
 }  // namespace xic

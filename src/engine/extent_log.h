@@ -2,21 +2,27 @@
 //
 // The streaming checker (engine/stream_validator.h) cannot hold whole
 // extents in memory: a 1 GB document's key tuples alone would defeat the
-// point of streaming. Instead every constraint position appends compact
-// records -- (vertex seq, rank, encoded tuple payload) -- to a TupleLog,
-// and the post-pass consumes each log as a single sorted scan in
+// point of streaming. Instead every distinct extent the constraints read
+// (one element type's tuples over one ordered field list) appends
+// compact records -- (vertex seq, rank, encoded tuple payload) -- to one
+// TupleLog, and the post-pass consumes each log as sorted scans in
 // (payload, seq, rank) order. Duplicate detection (keys/IDs) becomes
 // group iteration and inclusion checking (foreign keys) a merge-join of
 // two sorted scans, so no hash table over an extent ever materializes.
+// A key's log is also its foreign keys' join target, so every payload
+// uses one format, EncodeTupleInto's; a set-valued source logs each
+// value as a 1-tuple.
 //
 // Memory discipline: all logs of one run share a SpillBudget. Appends
 // accumulate in an in-memory batch; when the combined batches exceed the
 // budget, the largest batch is sorted and flushed as one sorted run to
-// that log's unlinked temp file. Finish() sorts the tail batch and mmaps
-// the file read-only; Scan() then k-way-merges the on-disk runs with the
-// in-memory tail. A log that never overflows the budget stays entirely
-// in memory and touches no file. Peak memory is O(budget + largest
-// single record), independent of extent sizes.
+// that log's unlinked temp file, written through one reused 256 KiB
+// buffer. Finish() sorts the tail batch and mmaps the file read-only;
+// Scan() then k-way-merges the on-disk runs with the in-memory tail, and
+// a finished log may be scanned any number of times. A log that never
+// overflows the budget stays entirely in memory and touches no file.
+// Peak memory is O(budget + write buffer + largest single record),
+// independent of extent sizes.
 //
 // Record order within one (payload, seq, rank) sort key is total, so a
 // scan's output is deterministic regardless of when spills happened --
@@ -76,6 +82,7 @@ class SpillBudget {
   uint64_t spilled_ = 0;
   size_t runs_ = 0;
   std::vector<TupleLog*> logs_;
+  std::string spill_buf_;  // the write buffer every spill reuses
 };
 
 /// An append-only log of (seq, rank, payload) records consumed as one
@@ -183,6 +190,9 @@ class TupleLog {
 void EncodeTupleInto(const std::vector<std::string_view>& values,
                      std::string* out);
 std::vector<std::string> DecodeTuple(std::string_view payload);
+/// The value of an encoded 1-tuple ("3:abc" -> "abc"), as a view into
+/// `payload`.
+std::string_view DecodeSingle(std::string_view payload);
 
 }  // namespace xic
 

@@ -52,7 +52,9 @@ class StreamRun {
         deadline_(deadline),
         compile_ok_(validator != nullptr && validator->status().ok()),
         budget_(options.spill_budget_bytes) {
-    clogs_.resize(plan_.sigma.constraints.size());
+    logs_.resize(plan_.log_count);
+    for (ExtentLog& xl : logs_) xl.log = std::make_unique<TupleLog>(&budget_);
+    inverses_.resize(plan_.sigma.constraints.size());
     if (plan_.needs_global_ids) {
       global_ids_ = std::make_unique<TupleLog>(&budget_);
     }
@@ -142,21 +144,24 @@ class StreamRun {
     return (phase << 32) | idx;
   }
 
-  // Per-constraint extraction output.
-  struct CLogs {
-    std::unique_ptr<TupleLog> ext;     // ext(tau) tuples / values
-    std::unique_ptr<TupleLog> target;  // ext(tau') key tuples / values
-    std::vector<uint32_t> ext_missing;  // seqs with a missing field
-    // Inverse constraints need random access to both extents; they are
-    // held in memory (see DESIGN.md for the bound).
-    struct InvEntry {
-      uint32_t seq = 0;
-      bool has_key = false;
-      std::string key;
-      bool has_set = false;
-      std::vector<std::string> set;  // ascending (attribute-set order)
-    };
-    std::vector<InvEntry> inv_ext, inv_ref;
+  // One extent log of the plan, shared by every constraint that reads
+  // its extent.
+  struct ExtentLog {
+    std::unique_ptr<TupleLog> log;
+    std::vector<uint32_t> missing;  // seqs with a missing field
+  };
+
+  // One inverse constraint's extents. Inverses need random access to
+  // both; they are held in memory (see DESIGN.md for the bound).
+  struct InvEntry {
+    uint32_t seq = 0;
+    bool has_key = false;
+    std::string key;
+    bool has_set = false;
+    std::vector<std::string> set;  // ascending (attribute-set order)
+  };
+  struct InvExtents {
+    std::vector<InvEntry> ext, ref;
   };
 
   void OnStart(const StreamEvent& ev);
@@ -190,7 +195,7 @@ class StreamRun {
   bool TupleOf(const Frame& frame, const std::vector<size_t>& fields,
                std::vector<std::string_view>* out);
   void EmitRoles(const Frame& frame);
-  void Append(std::unique_ptr<TupleLog>* log, uint32_t seq, uint32_t rank,
+  void Append(ExtentLog& xl, uint32_t seq, uint32_t rank,
               std::string_view payload);
 
   void AddSViol(uint32_t seq, uint64_t rank, std::string msg) {
@@ -210,7 +215,8 @@ class StreamRun {
   // budget_ must precede every TupleLog owner: logs deregister from the
   // budget on destruction.
   SpillBudget budget_;
-  std::vector<CLogs> clogs_;
+  std::vector<ExtentLog> logs_;      // by plan log id
+  std::vector<InvExtents> inverses_;  // by constraint
   std::unique_ptr<TupleLog> global_ids_;
 
   SymbolTable syms_;  // the text feed's interned names
@@ -229,6 +235,7 @@ class StreamRun {
   std::vector<AttrRef> attrs_;  // the current start tag's, by name
   std::vector<std::string_view> tokens_;
   std::vector<std::string_view> view_scratch_;
+  std::vector<std::string_view> one_value_ = {{}};  // a 1-tuple to encode
   std::string encode_buf_;
 
   bool spill_failed_ = false;
@@ -578,11 +585,10 @@ bool StreamRun::TupleOf(const Frame& frame, const std::vector<size_t>& fields,
   return true;
 }
 
-void StreamRun::Append(std::unique_ptr<TupleLog>* log, uint32_t seq,
-                       uint32_t rank, std::string_view payload) {
+void StreamRun::Append(ExtentLog& xl, uint32_t seq, uint32_t rank,
+                       std::string_view payload) {
   if (spill_failed_) return;
-  if (*log == nullptr) *log = std::make_unique<TupleLog>(&budget_);
-  Status s = (*log)->Append(seq, rank, payload);
+  Status s = xl.log->Append(seq, rank, payload);
   if (!s.ok()) {
     spill_failed_ = true;
     spill_error_ = std::move(s);
@@ -593,51 +599,34 @@ void StreamRun::Append(std::unique_ptr<TupleLog>* log, uint32_t seq,
 
 void StreamRun::EmitRoles(const Frame& frame) {
   for (const Role& role : frame.info->tplan->roles) {
-    CLogs& cl = clogs_[role.constraint];
     switch (role.kind) {
-      case Role::kKeyTuple:
-      case Role::kFkTuple:
+      case Role::kTuple: {
+        ExtentLog& xl = logs_[role.index];
         if (!TupleOf(frame, role.fields, &view_scratch_)) {
-          cl.ext_missing.push_back(frame.seq);
+          xl.missing.push_back(frame.seq);
           break;
         }
         EncodeTupleInto(view_scratch_, &encode_buf_);
-        Append(&cl.ext, frame.seq, 0, encode_buf_);
+        Append(xl, frame.seq, 0, encode_buf_);
         break;
-      case Role::kFkTarget:
-        if (TupleOf(frame, role.fields, &view_scratch_)) {
-          EncodeTupleInto(view_scratch_, &encode_buf_);
-          Append(&cl.target, frame.seq, 0, encode_buf_);
-        }
-        break;
-      case Role::kSfkSource: {
+      }
+      case Role::kValues: {
+        ExtentLog& xl = logs_[role.index];
         if (!SetOf(frame.fields[role.fields[0]], &view_scratch_)) {
-          cl.ext_missing.push_back(frame.seq);
+          xl.missing.push_back(frame.seq);
           break;
         }
         uint32_t rank = 0;
         for (std::string_view v : view_scratch_) {
-          Append(&cl.ext, frame.seq, rank++, v);
+          one_value_[0] = v;
+          EncodeTupleInto(one_value_, &encode_buf_);
+          Append(xl, frame.seq, rank++, encode_buf_);
         }
         break;
       }
-      case Role::kSfkTarget:
-        if (std::optional<std::string_view> v =
-                SingleOf(frame.fields[role.fields[0]])) {
-          Append(&cl.target, frame.seq, 0, *v);
-        }
-        break;
-      case Role::kIdExt:
-        if (std::optional<std::string_view> v =
-                SingleOf(frame.fields[role.fields[0]])) {
-          Append(&cl.ext, frame.seq, 0, *v);
-        } else {
-          cl.ext_missing.push_back(frame.seq);
-        }
-        break;
       case Role::kInvExt:
       case Role::kInvRef: {
-        CLogs::InvEntry e;
+        InvEntry e;
         e.seq = frame.seq;
         if (std::optional<std::string_view> k =
                 SingleOf(frame.fields[role.fields[0]])) {
@@ -648,7 +637,8 @@ void StreamRun::EmitRoles(const Frame& frame) {
           e.has_set = true;
           e.set.assign(view_scratch_.begin(), view_scratch_.end());
         }
-        (role.kind == Role::kInvExt ? cl.inv_ext : cl.inv_ref)
+        InvExtents& inv = inverses_[role.index];
+        (role.kind == Role::kInvExt ? inv.ext : inv.ref)
             .push_back(std::move(e));
         break;
       }
@@ -797,6 +787,16 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
     }
   };
 
+  // Every extent log is sealed before any constraint reads it: one log
+  // may serve constraints anywhere in Sigma.
+  for (ExtentLog& xl : logs_) {
+    std::sort(xl.missing.begin(), xl.missing.end());
+    if (Status s = xl.log->Finish(); !s.ok()) {
+      report->status = std::move(s);
+      return;
+    }
+  }
+
   // Document-wide ID table, reduced to the duplicated values (value ->
   // every holder, in vertex order).
   std::map<std::string, std::vector<VertexId>, std::less<>> dup_ids;
@@ -834,6 +834,9 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
     std::vector<std::string> values;
   };
   std::vector<PV> pvs;
+  auto log_of = [&](size_t id) -> const ExtentLog* {
+    return id == ConstraintPlan::kNoLog ? nullptr : &logs_[id];
+  };
 
   for (size_t i = 0; i < plan_.sigma.constraints.size() && !full(); ++i) {
     if (Status s = deadline_.Check("constraint check"); !s.ok()) {
@@ -841,65 +844,54 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
       return;
     }
     const Constraint& c = plan_.sigma.constraints[i];
-    CLogs& cl = clogs_[i];
-    for (std::unique_ptr<TupleLog>* log : {&cl.ext, &cl.target}) {
-      if (*log != nullptr) {
-        if (Status s = (*log)->Finish(); !s.ok()) {
-          report->status = std::move(s);
-          return;
-        }
-      }
-    }
-    std::sort(cl.ext_missing.begin(), cl.ext_missing.end());
+    const ExtentLog* ext = log_of(plan_.logs[i].ext);
+    const ExtentLog* target = log_of(plan_.logs[i].target);
     pvs.clear();
 
     switch (c.kind) {
       case ConstraintKind::kKey: {
-        if (cl.ext != nullptr) {
-          TupleLog::Cursor cur = cl.ext->Scan();
-          TupleLog::Record r;
-          std::string group;
-          uint32_t first = 0;
-          bool have = false;
-          while (cur.Next(&r)) {
-            if (!have || r.payload != group) {
-              group = std::string(r.payload);
-              first = r.seq;
-              have = true;
-              continue;
-            }
-            std::vector<std::string> vals = DecodeTuple(r.payload);
-            pvs.push_back(PV{r.seq, 0,
-                             "duplicate key [" + Join(vals, ",") + "]",
-                             {first, r.seq}, std::move(vals)});
+        TupleLog::Cursor cur = ext->log->Scan();
+        TupleLog::Record r;
+        std::string group;
+        uint32_t first = 0;
+        bool have = false;
+        while (cur.Next(&r)) {
+          if (!have || r.payload != group) {
+            group = std::string(r.payload);
+            first = r.seq;
+            have = true;
+            continue;
           }
+          std::vector<std::string> vals = DecodeTuple(r.payload);
+          pvs.push_back(PV{r.seq, 0, "duplicate key [" + Join(vals, ",") + "]",
+                           {first, r.seq}, std::move(vals)});
         }
-        for (uint32_t seq : cl.ext_missing) {
+        for (uint32_t seq : ext->missing) {
           pvs.push_back(PV{seq, 0, "key field missing", {seq}, {}});
         }
         break;
       }
 
       case ConstraintKind::kId: {
-        if (cl.ext != nullptr) {
-          TupleLog::Cursor cur = cl.ext->Scan();
-          TupleLog::Record r;
-          std::string group;
-          bool have = false;
-          while (cur.Next(&r)) {
-            if (have && r.payload == group) continue;
-            group = std::string(r.payload);
-            have = true;
-            auto it = dup_ids.find(r.payload);
-            if (it != dup_ids.end()) {
-              pvs.push_back(PV{r.seq, 0,
-                               "ID value \"" + group +
-                                   "\" is not document-unique",
-                               it->second, {group}});
-            }
+        if (ext == nullptr) break;
+        TupleLog::Cursor cur = ext->log->Scan();
+        TupleLog::Record r;
+        std::string group;
+        bool have = false;
+        while (cur.Next(&r)) {
+          if (have && r.payload == group) continue;
+          group = std::string(r.payload);
+          have = true;
+          const std::string_view value = DecodeSingle(r.payload);
+          auto it = dup_ids.find(value);
+          if (it != dup_ids.end()) {
+            pvs.push_back(PV{r.seq, 0,
+                             "ID value \"" + std::string(value) +
+                                 "\" is not document-unique",
+                             it->second, {std::string(value)}});
           }
         }
-        for (uint32_t seq : cl.ext_missing) {
+        for (uint32_t seq : ext->missing) {
           pvs.push_back(PV{seq, 0, "ID attribute missing", {seq}, {}});
         }
         break;
@@ -907,37 +899,34 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
 
       case ConstraintKind::kForeignKey:
       case ConstraintKind::kSetForeignKey: {
+        if (ext == nullptr) break;
         const bool set_valued = c.kind == ConstraintKind::kSetForeignKey;
-        std::optional<TupleLog::Cursor> tcur;
+        // The target log is the key's (or ID's) extent; a violated key
+        // leaves duplicates in it, which the join skips over.
+        TupleLog::Cursor tcur = target->log->Scan();
         TupleLog::Record t;
-        bool thave = false;
-        if (cl.target != nullptr) {
-          tcur = cl.target->Scan();
-          thave = tcur->Next(&t);
-        }
-        if (cl.ext != nullptr) {
-          TupleLog::Cursor ecur = cl.ext->Scan();
-          TupleLog::Record e;
-          while (ecur.Next(&e)) {
-            while (thave && t.payload < e.payload) thave = tcur->Next(&t);
-            if (thave && t.payload == e.payload) continue;
-            if (set_valued) {
-              pvs.push_back(PV{e.seq, e.rank,
-                               "dangling reference \"" +
-                                   std::string(e.payload) + "\"",
-                               {e.seq},
-                               {std::string(e.payload)}});
-            } else {
-              std::vector<std::string> vals = DecodeTuple(e.payload);
-              pvs.push_back(PV{e.seq, 0,
-                               "dangling reference [" + Join(vals, ",") + "]",
-                               {e.seq}, std::move(vals)});
-            }
+        bool thave = tcur.Next(&t);
+        TupleLog::Cursor ecur = ext->log->Scan();
+        TupleLog::Record e;
+        while (ecur.Next(&e)) {
+          while (thave && t.payload < e.payload) thave = tcur.Next(&t);
+          if (thave && t.payload == e.payload) continue;
+          if (set_valued) {
+            const std::string value(DecodeSingle(e.payload));
+            pvs.push_back(PV{e.seq, e.rank,
+                             "dangling reference \"" + value + "\"",
+                             {e.seq},
+                             {value}});
+          } else {
+            std::vector<std::string> vals = DecodeTuple(e.payload);
+            pvs.push_back(PV{e.seq, 0,
+                             "dangling reference [" + Join(vals, ",") + "]",
+                             {e.seq}, std::move(vals)});
           }
         }
         const char* missing_msg = set_valued ? "set-valued field missing"
                                              : "foreign-key field missing";
-        for (uint32_t seq : cl.ext_missing) {
+        for (uint32_t seq : ext->missing) {
           pvs.push_back(PV{seq, 0, missing_msg, {seq}, {}});
         }
         break;
@@ -949,22 +938,23 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
           add(i, "inverse constraint lacks key attributes", {});
           break;
         }
-        auto by_seq = [](const CLogs::InvEntry& a, const CLogs::InvEntry& b) {
+        InvExtents& inv = inverses_[i];
+        auto by_seq = [](const InvEntry& a, const InvEntry& b) {
           return a.seq < b.seq;
         };
-        std::sort(cl.inv_ext.begin(), cl.inv_ext.end(), by_seq);
-        std::sort(cl.inv_ref.begin(), cl.inv_ref.end(), by_seq);
+        std::sort(inv.ext.begin(), inv.ext.end(), by_seq);
+        std::sort(inv.ref.begin(), inv.ref.end(), by_seq);
         // key value -> entries, in extent (vertex) order. Views into the
         // entries' key strings: stable, the vectors no longer move.
         std::map<std::string_view, std::vector<size_t>> by_key, ref_by_key;
-        for (size_t k = 0; k < cl.inv_ext.size(); ++k) {
-          if (cl.inv_ext[k].has_key) {
-            by_key[cl.inv_ext[k].key].push_back(k);
+        for (size_t k = 0; k < inv.ext.size(); ++k) {
+          if (inv.ext[k].has_key) {
+            by_key[inv.ext[k].key].push_back(k);
           }
         }
-        for (size_t k = 0; k < cl.inv_ref.size(); ++k) {
-          if (cl.inv_ref[k].has_key) {
-            ref_by_key[cl.inv_ref[k].key].push_back(k);
+        for (size_t k = 0; k < inv.ref.size(); ++k) {
+          if (inv.ref[k].has_key) {
+            ref_by_key[inv.ref[k].key].push_back(k);
           }
         }
         auto contains = [](const std::vector<std::string>& set,
@@ -972,7 +962,7 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
           return std::binary_search(set.begin(), set.end(), val);
         };
         // Four passes, in NaiveCheck's exact emission order.
-        for (const CLogs::InvEntry& x : cl.inv_ext) {
+        for (const InvEntry& x : inv.ext) {
           if (full()) break;
           if (!x.has_set) continue;
           for (const std::string& val : x.set) {
@@ -984,7 +974,7 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
             }
           }
         }
-        for (const CLogs::InvEntry& y : cl.inv_ref) {
+        for (const InvEntry& y : inv.ref) {
           if (full()) break;
           if (!y.has_set) continue;
           for (const std::string& val : y.set) {
@@ -996,14 +986,14 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
             }
           }
         }
-        for (const CLogs::InvEntry& y : cl.inv_ref) {
+        for (const InvEntry& y : inv.ref) {
           if (full()) break;
           if (!y.has_set || !y.has_key) continue;
           for (const std::string& val : y.set) {
             auto it = by_key.find(std::string_view(val));
             if (it == by_key.end()) continue;
             for (size_t xi : it->second) {
-              const CLogs::InvEntry& x = cl.inv_ext[xi];
+              const InvEntry& x = inv.ext[xi];
               if (!x.has_set || !contains(x.set, y.key)) {
                 add(i, "inverse missing: " + c.ref_element + " \"" + y.key +
                            "\" references \"" + val + "\" but not back",
@@ -1014,14 +1004,14 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
             if (full()) break;
           }
         }
-        for (const CLogs::InvEntry& x : cl.inv_ext) {
+        for (const InvEntry& x : inv.ext) {
           if (full()) break;
           if (!x.has_set || !x.has_key) continue;
           for (const std::string& val : x.set) {
             auto it = ref_by_key.find(std::string_view(val));
             if (it == ref_by_key.end()) continue;
             for (size_t yi : it->second) {
-              const CLogs::InvEntry& y = cl.inv_ref[yi];
+              const InvEntry& y = inv.ref[yi];
               if (!y.has_set || !contains(y.set, x.key)) {
                 add(i, "inverse missing: " + c.element + " \"" + x.key +
                            "\" references \"" + val + "\" but not back",

@@ -16,11 +16,14 @@
 //   * Constraints: only the field tuples that constraints actually
 //     mention are extracted -- attributes at the start tag, unique
 //     sub-element text captured while the subtree streams by -- and
-//     appended to per-constraint TupleLogs (engine/extent_log.h) keyed
-//     by the vertex's pre-order id. A post-pass turns sorted scans of
-//     those logs into the violation list: duplicate keys by group
-//     iteration, foreign keys by merge-join against the target-key log,
-//     document-wide IDs via a global ID log. Logs spill to disk past the
+//     appended to TupleLogs (engine/extent_log.h) keyed by the vertex's
+//     pre-order id. There is one log per distinct extent (element type
+//     and ordered field list, ConstraintPlan::logs): a key, an ID
+//     constraint and the foreign keys that target it share one. A
+//     post-pass turns sorted scans of those logs into the violation
+//     list: duplicate keys by group iteration, foreign keys by
+//     merge-join against the key's own log, document-wide IDs via a
+//     global ID log. Logs spill to disk past the
 //     shared budget, so memory stays bounded by the spill budget, not
 //     the extent sizes. (Exception: inverse constraints need random
 //     access to both extents and are evaluated in memory; documents
@@ -95,7 +98,9 @@ struct StreamOptions {
 struct StreamStats {
   size_t vertices = 0;
   uint64_t input_bytes = 0;
-  /// Extent-log records appended across all constraints.
+  /// Extent-log records appended across all extent logs: one per vertex
+  /// (or set value) per distinct extent, however many constraints read
+  /// it. The document-wide ID log is not counted.
   size_t extent_records = 0;
   uint64_t spilled_bytes = 0;
   size_t spill_runs = 0;

@@ -5,7 +5,8 @@
 // (payload, seq, rank) comparison. Both must give one order, so every
 // scan here is compared with std::stable_sort over (payload bytes as
 // unsigned, seq, rank), at a budget that never spills (0), one that
-// spills on every append (1) and one in between (4 KiB).
+// spills on every append (1) and one in between (4 KiB), and at 1 MiB,
+// whose batches outgrow the spill write buffer.
 
 #include <gtest/gtest.h>
 
@@ -207,6 +208,32 @@ TEST(TupleLogOrder, LogsSharingABudgetKeepTheirOwnOrder) {
   EXPECT_GT(budget.spill_runs(), 2u);
   EXPECT_EQ(ScanAll(a), Reference(ra));
   EXPECT_EQ(ScanAll(b), Reference(rb));
+}
+
+TEST(TupleLogSpill, RunsLargerThanTheWriteBufferSpillWhole) {
+  // A 1 MiB budget spills batches of about 24k records, several times
+  // the 256 KiB buffer a spill writes through, and one payload is larger
+  // than that buffer on its own. Every run must read back whole and in
+  // order, and a finished log scans the same twice.
+  std::mt19937 rng(11);
+  std::vector<Rec> recs;
+  for (uint32_t i = 0; i < 100000; ++i) {
+    Rec r{i, i % 2, "k" + std::to_string(rng() % 50000) + "-padding"};
+    if (i == 31337) r.payload = std::string(300u << 10, 'z');
+    recs.push_back(std::move(r));
+  }
+  SpillBudget budget(1u << 20);
+  TupleLog log(&budget);
+  for (const Rec& r : recs) {
+    ASSERT_TRUE(log.Append(r.seq, r.rank, r.payload).ok());
+  }
+  ASSERT_TRUE(log.Finish().ok());
+  ASSERT_GE(budget.spill_runs(), 3u);
+  EXPECT_GT(budget.spilled_bytes() / budget.spill_runs(), 256u << 10);
+  const std::vector<Rec> want = Reference(recs);
+  // EXPECT_TRUE: a mismatch would print 100k records.
+  EXPECT_TRUE(ScanAll(log) == want);
+  EXPECT_TRUE(ScanAll(log) == want);
 }
 
 }  // namespace

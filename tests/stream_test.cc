@@ -467,14 +467,221 @@ TEST(StreamSpill, EveryExtentRecordIsSortedExactlyOnce) {
     ASSERT_TRUE(run.outcome.parse.ok()) << run.outcome.parse;
     EXPECT_FALSE(run.outcome.constraints.ok()) << budget;
     EXPECT_EQ(run.outcome.stats.spill_runs > 0, budget == 4096) << budget;
-    // One record per <t> in each of three logs: the key's extent and the
-    // foreign key's source and target.
-    EXPECT_EQ(run.outcome.stats.extent_records, 9000u) << budget;
+    // One record per <t> in each of two logs: the foreign key's source
+    // and the key's extent, which is also the foreign key's target.
+    EXPECT_EQ(run.outcome.stats.extent_records, 6000u) << budget;
     EXPECT_EQ(sorted.value() - before, run.outcome.stats.extent_records)
         << "spill budget " << budget;
   }
 }
 #endif  // XIC_OBS_ENABLED
+
+// -- Extents shared between constraints ----------------------------------
+//
+// The plan gives each distinct (type, ordered field list) one extent log:
+// a key, an ID and every foreign key into the same extent read one log,
+// appended once per vertex. Each case holds the streaming report (spill
+// budgets 0, 1 and 4096) and the tree feed's to NaiveCheck, violation
+// for violation, and pins the exact number of extent records, which a
+// duplicated extent would raise.
+
+// Every field of every violation, so witnesses and values are compared
+// too, not only the rendered messages.
+std::string Render(const ConstraintReport& report) {
+  std::string out = report.status.ToString() + "\n";
+  for (const ConstraintViolation& v : report.violations) {
+    out += std::to_string(v.constraint_index) + " " + v.message + " @";
+    for (VertexId w : v.witnesses) out += " " + std::to_string(w);
+    out += " |";
+    for (const std::string& value : v.values) out += " " + value;
+    out += "\n";
+  }
+  return out;
+}
+
+// Checks `text` all three ways at `max_violations`; returns NaiveCheck's
+// violation count.
+size_t ExpectSharedExtentParity(const std::string& text, size_t records,
+                                size_t max_violations = 0) {
+  Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  if (!parsed.ok()) return 0;
+  const DtdStructure& dtd = *parsed.value().document.dtd;
+  const ConstraintSet& sigma = *parsed.value().sigma;
+  const DataTree& tree = parsed.value().document.tree;
+  EXPECT_TRUE(CheckWellFormed(sigma, dtd).ok()) << CheckWellFormed(sigma, dtd);
+  const std::string naive =
+      Render(NaiveCheck(dtd, sigma, tree, max_violations));
+
+  StreamOptions options;
+  options.check.max_violations = max_violations;
+  const ConstraintPlan plan(dtd, sigma);
+  StreamOutcome from_tree =
+      CheckTree(plan, nullptr, tree, options, Deadline::Infinite());
+  EXPECT_EQ(Render(from_tree.constraints), naive) << "tree feed";
+  EXPECT_EQ(from_tree.stats.extent_records, records) << "tree feed";
+
+  for (size_t budget : {size_t{0}, size_t{1}, size_t{4096}}) {
+    options.spill_budget_bytes = budget;
+    StringSource source(text);
+    SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, options);
+    EXPECT_TRUE(s.outcome.parse.ok()) << s.outcome.parse;
+    EXPECT_TRUE(s.well_formed.ok()) << s.well_formed;
+    EXPECT_EQ(Render(s.outcome.constraints), naive) << "budget " << budget;
+    EXPECT_EQ(s.outcome.stats.extent_records, records) << "budget " << budget;
+    EXPECT_EQ(s.outcome.stats.spill_runs > 0, budget != 0)
+        << "budget " << budget;
+  }
+  return NaiveCheck(dtd, sigma, tree, max_violations).violations.size();
+}
+
+// Books, publications and citations over `rows` rows. Book i has isbn
+// "i<i % isbn_mod>", except every 50th book has none; publication i
+// cites one isbn and citation i two distinct ones, some past the last
+// book (dangling).
+std::string Catalog(const std::string& constraints, size_t rows,
+                    size_t isbn_mod) {
+  std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (b | p | c)*>\n"
+      "<!ELEMENT b EMPTY>\n"
+      "<!ATTLIST b isbn CDATA #IMPLIED>\n"
+      "<!ELEMENT p EMPTY>\n"
+      "<!ATTLIST p of CDATA #IMPLIED>\n"
+      "<!ELEMENT c EMPTY>\n"
+      "<!ATTLIST c to NMTOKENS #IMPLIED>\n"
+      "<!-- xic:constraints language=L_u\n" +
+      constraints +
+      "-->\n"
+      "]>\n"
+      "<db>\n";
+  for (size_t i = 0; i < rows; ++i) {
+    const std::string isbn = "i" + std::to_string(i % isbn_mod);
+    text += i % 50 == 0 ? "<b/>" : "<b isbn=\"" + isbn + "\"/>";
+    text += "<p of=\"i" + std::to_string(i * 7 % (rows + 20)) + "\"/>";
+    text += "<c to=\"i" + std::to_string(i) + " i" +
+            std::to_string(i + 3) + "\"/>\n";
+  }
+  return text + "</db>\n";
+}
+
+// A 300-row catalog's extents: 294 isbns (every 50th book has none), 300
+// publication references, 600 citation tokens.
+constexpr size_t kCatalogRecords = 294 + 300 + 600;
+
+TEST(SharedExtent, KeyForeignKeyAndSetForeignKeyReadOneLog) {
+  // The last foreign key is reflexive: its source and target are the
+  // key's own log, read by two cursors at once.
+  const std::string text = Catalog(
+      "  key b.isbn\n"
+      "  fk p.of -> b.isbn\n"
+      "  sfk c.to -> b.isbn\n"
+      "  fk b.isbn -> b.isbn\n",
+      300, 1000);
+  EXPECT_GT(ExpectSharedExtentParity(text, kCatalogRecords), 0u);
+}
+
+TEST(SharedExtent, ForeignKeyListedBeforeItsKey) {
+  const std::string text = Catalog(
+      "  fk p.of -> b.isbn\n"
+      "  sfk c.to -> b.isbn\n"
+      "  key b.isbn\n",
+      300, 1000);
+  EXPECT_GT(ExpectSharedExtentParity(text, kCatalogRecords), 0u);
+}
+
+TEST(SharedExtent, ViolatedTargetKeyLeavesDuplicatesInTheSharedLog) {
+  // isbn_mod 120: books 120..299 repeat earlier isbns, so the log the
+  // foreign keys join against holds runs of equal tuples.
+  const std::string text = Catalog(
+      "  key b.isbn\n"
+      "  fk p.of -> b.isbn\n"
+      "  sfk c.to -> b.isbn\n",
+      300, 120);
+  EXPECT_GT(ExpectSharedExtentParity(text, kCatalogRecords), 150u);
+}
+
+TEST(SharedExtent, ForeignKeyIntoAPermutedKeyKeepsItsOwnLog) {
+  // key t[a, b] logs (a, b); the first foreign key's target is (b, a),
+  // a log of its own; the second's target is the key's log.
+  std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (t | s)*>\n"
+      "<!ELEMENT t EMPTY>\n"
+      "<!ATTLIST t a CDATA #IMPLIED b CDATA #IMPLIED>\n"
+      "<!ELEMENT s EMPTY>\n"
+      "<!ATTLIST s x CDATA #IMPLIED y CDATA #IMPLIED>\n"
+      "<!-- xic:constraints language=L\n"
+      "  key t[b, a]\n"
+      "  fk s[x, y] -> t[b, a]\n"
+      "  fk s[y, x] -> t[a, b]\n"
+      "-->\n"
+      "]>\n"
+      "<db>\n";
+  for (size_t i = 0; i < 300; ++i) {
+    // (i % 40, i % 7) repeats from row 280 on: duplicate keys.
+    const std::string a = "a" + std::to_string(i % 40);
+    const std::string b = "b" + std::to_string(i % 7);
+    text += i % 60 == 0 ? "<t b=\"" + b + "\"/>"
+                        : "<t a=\"" + a + "\" b=\"" + b + "\"/>";
+    // s[x, y] = (b, a) of some row, or of none when i % 3 == 0.
+    const std::string x = "b" + std::to_string((i + (i % 3 == 0)) % 7);
+    text += "<s x=\"" + x + "\" y=\"" + a + "\"/>\n";
+  }
+  text += "</db>\n";
+  // Two t logs of 295 tuples (every 60th t lacks a), two s logs of 300.
+  EXPECT_GT(ExpectSharedExtentParity(text, 295 + 295 + 300 + 300), 0u);
+}
+
+TEST(SharedExtent, IdAttributeIsAlsoTheReferenceTarget) {
+  // t.oid's log serves the ID constraint and both references into it;
+  // u.uid values clash with some t.oid values document-wide.
+  std::string text =
+      "<!DOCTYPE db [\n"
+      "<!ELEMENT db (t | u)*>\n"
+      "<!ELEMENT t EMPTY>\n"
+      "<!ATTLIST t oid ID #IMPLIED r IDREF #IMPLIED rs IDREFS #IMPLIED>\n"
+      "<!ELEMENT u EMPTY>\n"
+      "<!ATTLIST u uid ID #REQUIRED>\n"
+      "<!-- xic:constraints language=L_id\n"
+      "  fk t.r -> t.oid\n"
+      "  id t.oid\n"
+      "  sfk t.rs -> t.oid\n"
+      "  id u.uid\n"
+      "-->\n"
+      "]>\n"
+      "<db>\n";
+  for (size_t i = 0; i < 300; ++i) {
+    const std::string n = std::to_string(i);
+    const std::string oid = i % 61 == 0 ? "same" : "o" + n;
+    text += i % 40 == 0 ? "<t" : "<t oid=\"" + oid + "\"";
+    text += " r=\"o" + std::to_string(i * 5 % 330) + "\"";
+    text += " rs=\"o" + std::to_string(i + 1) + " u" + n + "\"/>";
+    text += "<u uid=\"" + (i % 9 == 0 ? "o" + std::to_string(i * 2) : "u" + n) +
+            "\"/>\n";
+  }
+  text += "</db>\n";
+  // t.oid 292 (every 40th t has none), u.uid 300, t.r 300, t.rs 600.
+  EXPECT_GT(ExpectSharedExtentParity(text, 292 + 300 + 300 + 600), 0u);
+}
+
+TEST(SharedExtent, TruncationAcrossConstraintsThatShareALog) {
+  const std::string text = Catalog(
+      "  sfk c.to -> b.isbn\n"
+      "  key b.isbn\n"
+      "  fk p.of -> b.isbn\n"
+      "  fk b.isbn -> b.isbn\n",
+      60, 25);
+  // 58 isbns (books 0 and 50 have none), 60 references, 120 tokens.
+  const size_t records = 58 + 60 + 120;
+  const size_t total = ExpectSharedExtentParity(text, records);
+  ASSERT_GT(total, 20u);
+  for (size_t cap = 1; cap <= total + 1; ++cap) {
+    EXPECT_EQ(ExpectSharedExtentParity(text, records, cap),
+              std::min(cap, total))
+        << "max_violations " << cap;
+  }
+}
 
 TEST(StreamParity, TruncationAndStrictAttributesMatch) {
   // max_violations truncation must keep the DOM checkers' prefix, and
