@@ -79,7 +79,8 @@ struct CheckOptions {
 /// The compiled constraint plan: what each element type must surrender
 /// to evaluate Sigma, resolved once from the DTD and Sigma. Both feeds of
 /// the streaming engine -- tokenizer events and DataTree vertices -- read
-/// it, and so does NaiveCheck (for the inverse keys).
+/// it, so do IncrementalChecker (one count index per log id) and
+/// NaiveCheck (for the inverse keys).
 struct ConstraintPlan {
   /// The DTD and Sigma must outlive the plan and stay unmodified.
   ConstraintPlan(const DtdStructure& dtd, const ConstraintSet& sigma);

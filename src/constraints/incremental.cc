@@ -1,373 +1,187 @@
 #include "constraints/incremental.h"
 
 #include <algorithm>
+#include <optional>
 
-#include "constraints/well_formed.h"
+#include "engine/extent_log.h"
+#include "xml/xml_parser.h"
 
 namespace xic {
 
-namespace {
-
-// Encodes a tuple of values into one hashable string (length-prefixed).
-std::string EncodeTuple(const std::vector<std::string>& values) {
-  std::string out;
-  for (const std::string& v : values) {
-    out += std::to_string(v.size());
-    out += ':';
-    out += v;
-  }
-  return out;
-}
-
-}  // namespace
-
 IncrementalChecker::IncrementalChecker(const DtdStructure& dtd,
                                        const ConstraintSet& sigma)
-    : dtd_(dtd), sigma_(sigma) {
-  violations_.assign(sigma_.constraints.size(), 0);
-  key_indexes_.resize(sigma_.constraints.size());
-  fk_indexes_.resize(sigma_.constraints.size());
-  // A constraint may read one field through both of its roles (e.g. the
-  // reflexive "fk t.x -> t.x", or "fk t[x,y] -> t[y,x]"); registering it
-  // twice would double every Retract/Contribute on that field and
-  // underflow the violation counts.
-  auto watch = [this](const std::string& element, const std::string& attr,
-                      size_t index) {
-    std::vector<size_t>& watchers = field_watchers_[{element, attr}];
-    if (std::find(watchers.begin(), watchers.end(), index) ==
-        watchers.end()) {
-      watchers.push_back(index);
+    : sigma_(sigma),
+      plan_(dtd, sigma_),
+      violations_(sigma_.constraints.size(), 0),
+      counts_(plan_.log_count),
+      readers_(plan_.log_count) {
+  auto require_attributes = [&](const std::string& element,
+                                const std::vector<std::string>& attrs) {
+    for (const std::string& a : attrs) {
+      if (!dtd.HasAttribute(element, a)) {
+        status_ = Status::NotSupported(
+            "incremental checking requires attribute fields; " + element +
+            "." + a + " is not an attribute");
+        return false;
+      }
     }
+    return true;
   };
   for (size_t i = 0; i < sigma_.constraints.size(); ++i) {
     const Constraint& c = sigma_.constraints[i];
+    Reader::Kind kind = Reader::kSource;
     switch (c.kind) {
       case ConstraintKind::kKey:
+        if (!require_attributes(c.element, c.attrs)) return;
+        kind = Reader::kKey;
+        break;
       case ConstraintKind::kForeignKey:
-        for (const std::string& a : c.attrs) {
-          if (!dtd_.HasAttribute(c.element, a)) {
-            status_ = Status::NotSupported(
-                "incremental checking requires attribute fields; " +
-                c.element + "." + a + " is not an attribute");
-            return;
-          }
-          watch(c.element, a, i);
-        }
-        if (c.kind == ConstraintKind::kForeignKey) {
-          for (const std::string& a : c.ref_attrs) {
-            if (!dtd_.HasAttribute(c.ref_element, a)) {
-              status_ = Status::NotSupported(
-                  "incremental checking requires attribute fields; " +
-                  c.ref_element + "." + a + " is not an attribute");
-              return;
-            }
-            watch(c.ref_element, a, i);
-          }
+        if (!require_attributes(c.element, c.attrs) ||
+            !require_attributes(c.ref_element, c.ref_attrs)) {
+          return;
         }
         break;
       case ConstraintKind::kSetForeignKey:
-        watch(c.element, c.attr(), i);
-        watch(c.ref_element, c.ref_attr(), i);
         break;
-      case ConstraintKind::kId: {
-        has_id_constraints_ = true;
-        id_constraint_[c.element] = i;
-        watch(c.element, c.attr(), i);
+      case ConstraintKind::kId:
+        kind = Reader::kId;
         break;
-      }
       case ConstraintKind::kInverse:
         status_ = Status::NotSupported(
             "inverse constraints are not incrementally maintained; use "
             "ConstraintChecker");
         return;
     }
+    const ConstraintPlan::ConstraintLogs& logs = plan_.logs[i];
+    if (logs.ext != ConstraintPlan::kNoLog) {
+      readers_[logs.ext].push_back(Reader{kind, i, logs.target});
+    }
+    if (logs.target != ConstraintPlan::kNoLog) {
+      readers_[logs.target].push_back(Reader{Reader::kTarget, i, logs.ext});
+    }
+  }
+  // An ID constraint alone needs no counts: its duplicates are the
+  // document-wide ID table's, and its missing IDs are incomplete tuples.
+  for (size_t log = 0; log < plan_.log_count; ++log) {
+    counted_.push_back(std::any_of(
+        readers_[log].begin(), readers_[log].end(),
+        [](const Reader& r) { return r.kind != Reader::kId; }));
   }
 }
 
+// Counts are unsigned; adding a negative delta wraps around to the
+// smaller value.
 void IncrementalChecker::Bump(size_t index, int64_t delta) {
-  violations_[index] = static_cast<size_t>(
-      static_cast<int64_t>(violations_[index]) + delta);
-  total_violations_ =
-      static_cast<size_t>(static_cast<int64_t>(total_violations_) + delta);
+  violations_[index] += static_cast<size_t>(delta);
+  total_violations_ += static_cast<size_t>(delta);
 }
 
-void IncrementalChecker::BumpIdConflicts(int64_t delta) {
-  id_conflicts_ =
-      static_cast<size_t>(static_cast<int64_t>(id_conflicts_) + delta);
-  total_violations_ =
-      static_cast<size_t>(static_cast<int64_t>(total_violations_) + delta);
+const IncrementalChecker::TypePlan* IncrementalChecker::PlanOf(
+    const std::string& type) const {
+  auto it = plan_.type_plans.find(type);
+  return it == plan_.type_plans.end() ? nullptr : &it->second;
 }
 
-bool IncrementalChecker::IsIdConstrainedType(const std::string& type) const {
-  return id_constraint_.count(type) > 0;
+const AttrValue* IncrementalChecker::Values(VertexId v,
+                                            const std::string& name) const {
+  Symbol s = tree_.FindName(name);
+  return s == kInvalidSymbol ? nullptr : tree_.FindAttr(v, s);
 }
 
-void IncrementalChecker::RetractIdValue(VertexId v) {
-  if (!has_id_constraints_) return;
-  const std::string& type = tree_.label(v);
-  std::optional<std::string> id_attr = dtd_.IdAttribute(type);
-  if (!id_attr.has_value()) return;
-  bool constrained = IsIdConstrainedType(type);
-  Result<std::string> value = tree_.SingleAttribute(v, *id_attr);
-  if (!value.ok()) {
-    // Was counted as missing if constrained.
-    if (constrained) Bump(id_constraint_.at(type), -1);
-    return;
+size_t IncrementalChecker::CountAt(size_t log) const {
+  auto it = counts_[log].find(key_);
+  return it == counts_[log].end() ? 0 : it->second;
+}
+
+void IncrementalChecker::ApplyTuple(size_t log, int sign) {
+  if (!counted_[log]) return;
+  std::unordered_map<std::string, size_t>& counts = counts_[log];
+  size_t before = 0;
+  size_t after = 0;
+  if (sign > 0) {
+    after = ++counts[key_];
+    before = after - 1;
+  } else {
+    auto it = counts.find(key_);
+    before = it->second;
+    after = --it->second;
+    if (after == 0) counts.erase(it);
   }
-  IdValueEntry& entry = id_values_[value.value()];
-  // Conflict accounting: constrained holders of duplicated values. The
-  // count is global (document-wide scope), tracked in id_conflicts_.
-  size_t old_conflicts = entry.holders >= 2 ? entry.constrained : 0;
-  entry.holders -= 1;
-  if (constrained) entry.constrained -= 1;
-  size_t new_conflicts = entry.holders >= 2 ? entry.constrained : 0;
-  BumpIdConflicts(static_cast<int64_t>(new_conflicts) -
-             static_cast<int64_t>(old_conflicts));
-  if (entry.holders == 0) id_values_.erase(value.value());
-}
-
-void IncrementalChecker::ContributeIdValue(VertexId v) {
-  if (!has_id_constraints_) return;
-  const std::string& type = tree_.label(v);
-  std::optional<std::string> id_attr = dtd_.IdAttribute(type);
-  if (!id_attr.has_value()) return;
-  bool constrained = IsIdConstrainedType(type);
-  Result<std::string> value = tree_.SingleAttribute(v, *id_attr);
-  if (!value.ok()) {
-    if (constrained) Bump(id_constraint_.at(type), +1);  // missing ID
-    return;
-  }
-  IdValueEntry& entry = id_values_[value.value()];
-  size_t old_conflicts = entry.holders >= 2 ? entry.constrained : 0;
-  entry.holders += 1;
-  if (constrained) entry.constrained += 1;
-  size_t new_conflicts = entry.holders >= 2 ? entry.constrained : 0;
-  BumpIdConflicts(static_cast<int64_t>(new_conflicts) -
-             static_cast<int64_t>(old_conflicts));
-}
-
-void IncrementalChecker::Retract(size_t index, VertexId v) {
-  const Constraint& c = sigma_.constraints[index];
-  const std::string& type = tree_.label(v);
-  switch (c.kind) {
-    case ConstraintKind::kKey: {
-      if (type != c.element) return;
-      KeyIndex& idx = key_indexes_[index];
-      std::vector<std::string> tuple;
-      bool complete = true;
-      for (const std::string& a : c.attrs) {
-        Result<std::string> val = tree_.SingleAttribute(v, a);
-        if (!val.ok()) {
-          complete = false;
-          break;
+  auto extras = [](size_t n) -> int64_t {
+    return n > 0 ? static_cast<int64_t>(n) - 1 : 0;
+  };
+  for (const Reader& r : readers_[log]) {
+    // A reflexive foreign key's every source tuple is its own target.
+    if (r.other == log) continue;
+    switch (r.kind) {
+      case Reader::kKey:
+        Bump(r.constraint, extras(after) - extras(before));
+        break;
+      case Reader::kId:
+        break;  // duplicates are document-wide: see ApplyId
+      case Reader::kSource:
+        if (CountAt(r.other) == 0) Bump(r.constraint, sign);
+        break;
+      case Reader::kTarget:
+        if (before == 0 || after == 0) {
+          Bump(r.constraint,
+               -sign * static_cast<int64_t>(CountAt(r.other)));
         }
-        tuple.push_back(std::move(val).value());
-      }
-      if (!complete) {
-        idx.incomplete -= 1;
-        Bump(index, -1);
-        return;
-      }
-      std::string key = EncodeTuple(tuple);
-      size_t& count = idx.tuple_counts[key];
-      if (count >= 2) Bump(index, -1);  // this vertex was an extra
-      count -= 1;
-      if (count == 0) idx.tuple_counts.erase(key);
-      return;
+        break;
     }
-    case ConstraintKind::kForeignKey:
-    case ConstraintKind::kSetForeignKey: {
-      FkIndex& idx = fk_indexes_[index];
-      if (type == c.element) {
-        // Source contributions.
-        if (c.kind == ConstraintKind::kForeignKey) {
-          std::vector<std::string> tuple;
-          bool complete = true;
-          for (const std::string& a : c.attrs) {
-            Result<std::string> val = tree_.SingleAttribute(v, a);
-            if (!val.ok()) {
-              complete = false;
-              break;
-            }
-            tuple.push_back(std::move(val).value());
-          }
-          if (!complete) {
-            idx.incomplete -= 1;
-            Bump(index, -1);
-          } else {
-            std::string key = EncodeTuple(tuple);
-            if (idx.target_counts.count(key) == 0) {
-              idx.dangling -= 1;
-              Bump(index, -1);
-            }
-            size_t& count = idx.source_counts[key];
-            count -= 1;
-            if (count == 0) idx.source_counts.erase(key);
-          }
-        } else {
-          Result<AttrValue> values = tree_.Attribute(v, c.attr());
-          if (!values.ok()) {
-            idx.incomplete -= 1;
-            Bump(index, -1);
-          } else {
-            for (const std::string& member : values.value()) {
-              std::string key = EncodeTuple({member});
-              if (idx.target_counts.count(key) == 0) {
-                idx.dangling -= 1;
-                Bump(index, -1);
-              }
-              size_t& count = idx.source_counts[key];
-              count -= 1;
-              if (count == 0) idx.source_counts.erase(key);
-            }
-          }
-        }
-      }
-      if (type == c.ref_element) {
-        // Target contributions.
-        std::vector<std::string> tuple;
-        bool complete = true;
-        for (const std::string& a : c.ref_attrs) {
-          Result<std::string> val = tree_.SingleAttribute(v, a);
-          if (!val.ok()) {
-            complete = false;
-            break;
-          }
-          tuple.push_back(std::move(val).value());
-        }
-        if (complete) {
-          std::string key = EncodeTuple(tuple);
-          size_t& count = idx.target_counts[key];
-          count -= 1;
-          if (count == 0) {
-            idx.target_counts.erase(key);
-            // Sources pointing here become dangling.
-            auto it = idx.source_counts.find(key);
-            if (it != idx.source_counts.end()) {
-              idx.dangling += it->second;
-              Bump(index, static_cast<int64_t>(it->second));
-            }
-          }
-        }
-      }
-      return;
-    }
-    case ConstraintKind::kId:
-      // Handled globally by RetractIdValue.
-      return;
-    case ConstraintKind::kInverse:
-      return;
   }
 }
 
-void IncrementalChecker::Contribute(size_t index, VertexId v) {
-  const Constraint& c = sigma_.constraints[index];
-  const std::string& type = tree_.label(v);
-  switch (c.kind) {
-    case ConstraintKind::kKey: {
-      if (type != c.element) return;
-      KeyIndex& idx = key_indexes_[index];
-      std::vector<std::string> tuple;
-      bool complete = true;
-      for (const std::string& a : c.attrs) {
-        Result<std::string> val = tree_.SingleAttribute(v, a);
-        if (!val.ok()) {
-          complete = false;
-          break;
-        }
-        tuple.push_back(std::move(val).value());
-      }
-      if (!complete) {
-        idx.incomplete += 1;
-        Bump(index, +1);
-        return;
-      }
-      size_t& count = idx.tuple_counts[EncodeTuple(tuple)];
-      count += 1;
-      if (count >= 2) Bump(index, +1);
-      return;
-    }
-    case ConstraintKind::kForeignKey:
-    case ConstraintKind::kSetForeignKey: {
-      FkIndex& idx = fk_indexes_[index];
-      if (type == c.ref_element) {
-        // Register the target first so self-referencing rows match.
-        std::vector<std::string> tuple;
-        bool complete = true;
-        for (const std::string& a : c.ref_attrs) {
-          Result<std::string> val = tree_.SingleAttribute(v, a);
-          if (!val.ok()) {
-            complete = false;
-            break;
-          }
-          tuple.push_back(std::move(val).value());
-        }
-        if (complete) {
-          std::string key = EncodeTuple(tuple);
-          size_t& count = idx.target_counts[key];
-          count += 1;
-          if (count == 1) {
-            auto it = idx.source_counts.find(key);
-            if (it != idx.source_counts.end()) {
-              idx.dangling -= it->second;
-              Bump(index, -static_cast<int64_t>(it->second));
-            }
-          }
-        }
-      }
-      if (type == c.element) {
-        if (c.kind == ConstraintKind::kForeignKey) {
-          std::vector<std::string> tuple;
-          bool complete = true;
-          for (const std::string& a : c.attrs) {
-            Result<std::string> val = tree_.SingleAttribute(v, a);
-            if (!val.ok()) {
-              complete = false;
-              break;
-            }
-            tuple.push_back(std::move(val).value());
-          }
-          if (!complete) {
-            idx.incomplete += 1;
-            Bump(index, +1);
-          } else {
-            std::string key = EncodeTuple(tuple);
-            idx.source_counts[key] += 1;
-            if (idx.target_counts.count(key) == 0) {
-              idx.dangling += 1;
-              Bump(index, +1);
-            }
-          }
-        } else {
-          Result<AttrValue> values = tree_.Attribute(v, c.attr());
-          if (!values.ok()) {
-            idx.incomplete += 1;
-            Bump(index, +1);
-          } else {
-            for (const std::string& member : values.value()) {
-              std::string key = EncodeTuple({member});
-              idx.source_counts[key] += 1;
-              if (idx.target_counts.count(key) == 0) {
-                idx.dangling += 1;
-                Bump(index, +1);
-              }
-            }
-          }
-        }
+void IncrementalChecker::ApplyRole(VertexId v, const TypePlan& plan,
+                                   const Role& role, int sign) {
+  views_.clear();
+  if (role.kind == Role::kValues) {
+    if (const AttrValue* values = Values(v, plan.fields[role.fields[0]])) {
+      for (const std::string& value : *values) {
+        views_.assign(1, value);
+        EncodeTupleInto(views_, &key_);
+        ApplyTuple(role.index, sign);
       }
       return;
     }
-    case ConstraintKind::kId:
-      return;  // handled globally
-    case ConstraintKind::kInverse:
+  } else {
+    for (size_t f : role.fields) {
+      const AttrValue* value = Values(v, plan.fields[f]);
+      if (value == nullptr || value->size() != 1) break;
+      views_.push_back(*value->begin());
+    }
+    if (views_.size() == role.fields.size()) {
+      EncodeTupleInto(views_, &key_);
+      ApplyTuple(role.index, sign);
       return;
+    }
   }
+  // An incomplete tuple violates every constraint reading this extent.
+  for (const Reader& r : readers_[role.index]) {
+    if (r.kind != Reader::kTarget) Bump(r.constraint, sign);
+  }
+}
+
+void IncrementalChecker::ApplyId(VertexId v, const std::string& id_attr,
+                                 bool constrained, int sign) {
+  const AttrValue* value = Values(v, id_attr);
+  if (value == nullptr || value->size() != 1) return;
+  const std::string& id = *value->begin();
+  IdValueEntry& entry = id_values_[id];
+  auto conflicts = [&] { return entry.holders >= 2 ? entry.constrained : 0; };
+  const size_t before = conflicts();
+  entry.holders += static_cast<size_t>(sign);
+  if (constrained) entry.constrained += static_cast<size_t>(sign);
+  const size_t delta = conflicts() - before;
+  id_conflicts_ += delta;
+  total_violations_ += delta;
+  if (entry.holders == 0) id_values_.erase(id);
 }
 
 Result<VertexId> IncrementalChecker::AddElement(VertexId parent,
                                                 const std::string& label) {
   XIC_RETURN_IF_ERROR(status_);
-  if (!dtd_.HasElement(label)) {
+  if (!plan_.dtd.HasElement(label)) {
     return Status::InvalidArgument("undeclared element type " + label);
   }
   if (tree_.empty() != (parent == kInvalidVertex)) {
@@ -385,20 +199,11 @@ Result<VertexId> IncrementalChecker::AddElement(VertexId parent,
   if (parent != kInvalidVertex) {
     XIC_RETURN_IF_ERROR(tree_.AddChildVertex(parent, v));
   }
-  // Initial contributions (all fields unset).
-  std::set<size_t> touched;
-  for (const auto& [field, watchers] : field_watchers_) {
-    if (field.first != label) continue;
-    for (size_t index : watchers) touched.insert(index);
+  // Every field is unset: each extent the type feeds gains an incomplete
+  // tuple, and there is no ID value yet.
+  if (const TypePlan* plan = PlanOf(label)) {
+    for (const Role& role : plan->roles) ApplyRole(v, *plan, role, +1);
   }
-  for (size_t index : touched) {
-    // Only source/key roles count incomplete tuples; target roles of FK
-    // constraints contribute nothing while incomplete.
-    if (sigma_.constraints[index].kind != ConstraintKind::kId) {
-      Contribute(index, v);
-    }
-  }
-  ContributeIdValue(v);
   return v;
 }
 
@@ -408,46 +213,64 @@ Status IncrementalChecker::SetAttribute(VertexId v, const std::string& attr,
   if (v >= tree_.size()) {
     return Status::InvalidArgument("vertex id out of range");
   }
+  const DtdStructure& dtd = plan_.dtd;
   const std::string& type = tree_.label(v);
-  if (!dtd_.HasAttribute(type, attr)) {
+  if (!dtd.HasAttribute(type, attr)) {
     return Status::InvalidArgument("undeclared attribute " + type + "." +
                                    attr);
   }
-  Result<AttrCardinality> card = dtd_.Cardinality(type, attr);
+  Result<AttrCardinality> card = dtd.Cardinality(type, attr);
   if (card.ok() && card.value() == AttrCardinality::kSingle &&
       value.size() != 1) {
     return Status::InvalidArgument("single-valued attribute " + type + "." +
                                    attr + " needs exactly one value");
   }
-  auto watchers = field_watchers_.find({type, attr});
-  std::optional<std::string> id_attr = dtd_.IdAttribute(type);
-  bool is_id_field = id_attr.has_value() && *id_attr == attr;
-
-  if (watchers != field_watchers_.end()) {
-    for (size_t index : watchers->second) {
-      if (sigma_.constraints[index].kind != ConstraintKind::kId) {
-        Retract(index, v);
+  // The roles whose tuples read `attr`.
+  const TypePlan* plan = PlanOf(type);
+  size_t field = 0;
+  if (plan != nullptr) {
+    field = static_cast<size_t>(
+        std::find(plan->fields.begin(), plan->fields.end(), attr) -
+        plan->fields.begin());
+  }
+  auto apply_roles = [&](int sign) {
+    if (plan == nullptr) return;
+    for (const Role& role : plan->roles) {
+      if (std::find(role.fields.begin(), role.fields.end(), field) !=
+          role.fields.end()) {
+        ApplyRole(v, *plan, role, sign);
+      }
+    }
+  };
+  // The document-wide ID table follows every ID attribute once some
+  // constraint is an ID constraint.
+  std::optional<std::string> id_attr;
+  bool constrained = false;
+  if (plan_.needs_global_ids) {
+    id_attr = dtd.IdAttribute(type);
+    if (id_attr.has_value() && *id_attr != attr) id_attr.reset();
+    if (id_attr.has_value() && plan != nullptr) {
+      for (const Role& role : plan->roles) {
+        for (const Reader& r : readers_[role.index]) {
+          constrained = constrained || r.kind == Reader::kId;
+        }
       }
     }
   }
-  if (is_id_field) RetractIdValue(v);
 
+  apply_roles(-1);
+  if (id_attr.has_value()) ApplyId(v, *id_attr, constrained, -1);
   tree_.SetAttribute(v, attr, std::move(value));
-
-  if (watchers != field_watchers_.end()) {
-    for (size_t index : watchers->second) {
-      if (sigma_.constraints[index].kind != ConstraintKind::kId) {
-        Contribute(index, v);
-      }
-    }
-  }
-  if (is_id_field) ContributeIdValue(v);
+  apply_roles(+1);
+  if (id_attr.has_value()) ApplyId(v, *id_attr, constrained, +1);
   return Status::OK();
 }
 
 Status IncrementalChecker::SetAttribute(VertexId v, const std::string& attr,
                                         std::string value) {
-  return SetAttribute(v, attr, AttrValue{std::move(value)});
+  const bool set_valued =
+      v < tree_.size() && plan_.dtd.IsSetValued(tree_.label(v), attr);
+  return SetAttribute(v, attr, TokenizeAttrValue(value, set_valued));
 }
 
 }  // namespace xic

@@ -312,9 +312,10 @@ void StreamRun::OnText(const StreamEvent& ev) {
     run_prefix_.clear();
   }
   if (!run_qualified_) {
-    if (options_.skip_ignorable_whitespace && ev.text_all_space) {
-      // The run may still qualify on a later chunk; keep the prefix only
-      // if someone would consume it.
+    if (ev.text_all_space) {
+      // A whitespace-only run is dropped, as the DOM parser drops it by
+      // default. The run may still qualify on a later chunk; keep the
+      // prefix only if someone would consume it.
       if (!captures_.empty()) run_prefix_.append(ev.text);
       return;
     }

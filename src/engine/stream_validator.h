@@ -73,9 +73,6 @@
 namespace xic {
 
 struct StreamOptions {
-  /// Drop text runs consisting only of whitespace, like the DOM parser's
-  /// XmlParseOptions::skip_ignorable_whitespace.
-  bool skip_ignorable_whitespace = true;
   /// Structural-check options (allow_missing_attributes, max_violations;
   /// limits.max_automaton_states bounds content-model compilation).
   ValidationOptions validation;

@@ -229,6 +229,16 @@ std::optional<std::string> RunIncrementalSequence(
              " counted), batch found " +
              std::to_string(report.violations.size()) + " violation(s)";
     }
+    std::vector<size_t> counts = IncrementalCounts(sigma, report);
+    for (size_t c = 0; c < counts.size(); ++c) {
+      if (incremental.per_constraint_violations()[c] != counts[c]) {
+        return "after op " + std::to_string(i) + " (" +
+               FormatUpdate(ops[i]) + "): constraint " + std::to_string(c) +
+               " (" + sigma.constraints[c].ToString() + ") counted " +
+               std::to_string(incremental.per_constraint_violations()[c]) +
+               " incrementally, " + std::to_string(counts[c]) + " in batch";
+      }
+    }
   }
   return std::nullopt;
 }
@@ -770,6 +780,19 @@ OracleOutcome StreamTrial(uint64_t seed, const GenOptions& opt) {
 }
 
 }  // namespace
+
+std::vector<size_t> IncrementalCounts(const ConstraintSet& sigma,
+                                      const ConstraintReport& report) {
+  std::vector<size_t> counts(sigma.constraints.size(), 0);
+  for (const ConstraintViolation& v : report.violations) {
+    if (sigma.constraints[v.constraint_index].kind == ConstraintKind::kId &&
+        v.message != "ID attribute missing") {
+      continue;
+    }
+    ++counts[v.constraint_index];
+  }
+  return counts;
+}
 
 OracleOutcome RunTrial(OracleId oracle, uint64_t seed,
                        const GenOptions& opt) {

@@ -8,8 +8,10 @@
 //                 streaming engine's tree feed): identical violation
 //                 reports, also under max_violations truncation.
 //   kIncremental  IncrementalChecker replaying an update sequence vs. a
-//                 batch re-check of its tree after *every* operation;
-//                 rejected operations must leave the verdict unchanged.
+//                 batch re-check of its tree after *every* operation:
+//                 the same verdict and the same violation count per
+//                 constraint (IncrementalCounts); rejected operations
+//                 must leave the verdict unchanged.
 //   kImplication  LuSolver / LidSolver / the chase vs. bounded
 //                 EnumerateCountermodel: an "implied" verdict with a
 //                 verified countermodel is a soundness mismatch; found
@@ -46,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "constraints/checker.h"
 #include "fuzzing/corpus.h"
 #include "fuzzing/generate.h"
 #include "util/status.h"
@@ -79,6 +82,13 @@ struct OracleOutcome {
   /// Replayable reproduction of the trial (filled on mismatch).
   CorpusEntry entry;
 };
+
+/// The per-constraint counts IncrementalChecker keeps, read off a batch
+/// report of the same tree: one per violation, except that an ID
+/// constraint counts only its "ID attribute missing" entries (duplicated
+/// ID values are IncrementalChecker::id_conflicts(), document-wide).
+std::vector<size_t> IncrementalCounts(const ConstraintSet& sigma,
+                                      const ConstraintReport& report);
 
 /// Runs one seed-driven trial of `oracle`.
 OracleOutcome RunTrial(OracleId oracle, uint64_t seed, const GenOptions& opt);

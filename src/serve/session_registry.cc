@@ -123,7 +123,7 @@ Result<std::string> SessionRegistry::ApplySessionLocked(
           op_status = Status::InvalidArgument("bad vertex: " + tokens[1]);
         } else {
           // The value is everything after the attribute name (values may
-          // contain spaces).
+          // contain spaces; a set-valued attribute splits on them).
           std::vector<std::string> value_parts(tokens.begin() + 3,
                                                tokens.end());
           op_status = checker.SetAttribute(vertex, tokens[2],

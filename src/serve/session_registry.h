@@ -63,6 +63,10 @@ class SessionRegistry {
   /// A statement rejected by the checker aborts the script at that line
   /// (prior statements stay applied -- the checker's documented
   /// rejected-op state invariance) and reports the statement's status.
+  /// A `set` value is the text after the attribute name, split the way
+  /// the XML parser splits attribute values: into whitespace-separated
+  /// members when the DTD declares the attribute set-valued (IDREFS,
+  /// NMTOKENS), else kept whole, spaces included.
   /// An *exception* escaping the checker poisons the handle: the session
   /// is reaped and kInternal returned; other sessions are unaffected.
   /// `injector` + `fault_key` drive the deterministic "serve.session"

@@ -5,6 +5,7 @@
 #include "constraints/checker.h"
 #include "constraints/constraint_parser.h"
 #include "constraints/incremental.h"
+#include "fuzzing/oracles.h"
 
 namespace xic {
 namespace {
@@ -184,8 +185,127 @@ TEST(Incremental, UpdateValidation) {
   EXPECT_FALSE(inc.SetAttribute(99, "name", "x").ok());
 }
 
+// The incremental state agrees with a batch check of its tree: the same
+// verdict and, constraint by constraint, the same violation count.
+void ExpectMatchesBatch(const IncrementalChecker& inc,
+                        const DtdStructure& dtd, const ConstraintSet& sigma,
+                        const std::string& where) {
+  ConstraintReport report = ConstraintChecker(dtd, sigma).Check(inc.tree());
+  ASSERT_TRUE(report.status.ok()) << report.status;
+  EXPECT_EQ(inc.consistent(), report.violations.empty()) << where;
+  EXPECT_EQ(inc.per_constraint_violations(),
+            fuzz::IncrementalCounts(sigma, report))
+      << where << "\n"
+      << report.ToString(sigma);
+}
+
+TEST(Incremental, RepeatedIdConstraintCountsEachMissingId) {
+  DtdStructure dtd;
+  ASSERT_TRUE(dtd.AddElement("r", "(t*)").ok());
+  ASSERT_TRUE(dtd.AddElement("t", "EMPTY").ok());
+  ASSERT_TRUE(dtd.AddAttribute("t", "a", AttrCardinality::kSingle).ok());
+  ASSERT_TRUE(dtd.SetKind("t", "a", AttrKind::kId).ok());
+  ASSERT_TRUE(dtd.SetRoot("r").ok());
+  Result<ConstraintSet> sigma =
+      ParseConstraintSet("id t.a\nid t.a\n", Language::kLid);
+  ASSERT_TRUE(sigma.ok()) << sigma.status();
+  IncrementalChecker inc(dtd, sigma.value());
+  ASSERT_TRUE(inc.status().ok()) << inc.status();
+  Result<VertexId> root = inc.AddElement(kInvalidVertex, "r");
+  ASSERT_TRUE(root.ok());
+  ASSERT_TRUE(inc.AddElement(root.value(), "t").ok());
+  // The batch checker reports "ID attribute missing" for both.
+  EXPECT_EQ(inc.per_constraint_violations(), (std::vector<size_t>{1, 1}));
+  EXPECT_EQ(inc.violation_count(), 2u);
+  ExpectMatchesBatch(inc, dtd, sigma.value(), "one t without a");
+  ASSERT_TRUE(inc.SetAttribute(1, "a", "v").ok());
+  EXPECT_EQ(inc.per_constraint_violations(), (std::vector<size_t>{0, 0}));
+  EXPECT_TRUE(inc.consistent());
+}
+
+// r -> (t*, u*); t has single-valued x, y and set-valued refs; u has a
+// single-valued ref. Every constraint below reads these attributes only.
+DtdStructure MakeChurnDtd() {
+  DtdStructure dtd;
+  EXPECT_TRUE(dtd.AddElement("r", "(t*, u*)").ok());
+  EXPECT_TRUE(dtd.AddElement("t", "EMPTY").ok());
+  EXPECT_TRUE(dtd.AddElement("u", "EMPTY").ok());
+  EXPECT_TRUE(dtd.AddAttribute("t", "x", AttrCardinality::kSingle).ok());
+  EXPECT_TRUE(dtd.AddAttribute("t", "y", AttrCardinality::kSingle).ok());
+  EXPECT_TRUE(dtd.AddAttribute("t", "refs", AttrCardinality::kSet).ok());
+  EXPECT_TRUE(dtd.AddAttribute("u", "ref", AttrCardinality::kSingle).ok());
+  EXPECT_TRUE(dtd.SetRoot("r").ok());
+  EXPECT_TRUE(dtd.Validate().ok());
+  return dtd;
+}
+
+// Adds t and u elements and rewrites their attributes from a three-value
+// pool, comparing with the batch checker after every operation.
+void ChurnAgainstBatch(const std::string& constraints, Language language) {
+  DtdStructure dtd = MakeChurnDtd();
+  Result<ConstraintSet> sigma = ParseConstraintSet(constraints, language);
+  ASSERT_TRUE(sigma.ok()) << sigma.status();
+  IncrementalChecker inc(dtd, sigma.value());
+  ASSERT_TRUE(inc.status().ok()) << inc.status();
+  Result<VertexId> root = inc.AddElement(kInvalidVertex, "r");
+  ASSERT_TRUE(root.ok());
+  std::mt19937 rng(7);
+  const std::vector<std::string> pool = {"a", "b", "c"};
+  auto value = [&] { return pool[rng() % pool.size()]; };
+  std::vector<VertexId> ts, us;
+  for (int step = 0; step < 300; ++step) {
+    switch (rng() % 6) {
+      case 0:
+        ts.push_back(inc.AddElement(root.value(), "t").value());
+        break;
+      case 1:
+        us.push_back(inc.AddElement(root.value(), "u").value());
+        break;
+      case 2:
+      case 3:
+        if (!ts.empty()) {
+          ASSERT_TRUE(inc.SetAttribute(ts[rng() % ts.size()],
+                                       rng() % 2 ? "x" : "y", value())
+                          .ok());
+        }
+        break;
+      case 4:
+        if (!ts.empty()) {
+          AttrValue refs;
+          for (size_t i = rng() % 3; i > 0; --i) refs.insert(value());
+          ASSERT_TRUE(
+              inc.SetAttribute(ts[rng() % ts.size()], "refs", refs).ok());
+        }
+        break;
+      case 5:
+        if (!us.empty()) {
+          ASSERT_TRUE(
+              inc.SetAttribute(us[rng() % us.size()], "ref", value()).ok());
+        }
+        break;
+    }
+    ExpectMatchesBatch(inc, dtd, sigma.value(),
+                       constraints + " step " + std::to_string(step));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(Incremental, KeyAndForeignKeysShareOneExtent) {
+  ChurnAgainstBatch(
+      "key t.x\nfk t.y -> t.x\nfk u.ref -> t.x\nsfk t.refs -> t.x\n",
+      Language::kLu);
+}
+
+TEST(Incremental, ForeignKeyIntoItsOwnSwappedFields) {
+  ChurnAgainstBatch("fk t[x,y] -> t[y,x]\n", Language::kL);
+}
+
+TEST(Incremental, ReflexiveForeignKey) {
+  ChurnAgainstBatch("fk t.x -> t.x\nkey t.x\n", Language::kLu);
+}
+
 // Randomized parity with the batch checker: after every mutation, the
-// incremental consistency bit equals ConstraintChecker's verdict.
+// incremental verdict and per-constraint counts equal ConstraintChecker's.
 class IncrementalParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalParity, MatchesBatchChecker) {
@@ -263,10 +383,14 @@ TEST_P(IncrementalParity, MatchesBatchChecker) {
         }
         break;
     }
-    bool batch_ok = batch.Check(inc.tree()).ok();
-    ASSERT_EQ(inc.consistent(), batch_ok)
+    ConstraintReport report = batch.Check(inc.tree());
+    ASSERT_EQ(inc.consistent(), report.ok())
         << "step " << step << ", incremental count "
         << inc.violation_count();
+    ASSERT_EQ(inc.per_constraint_violations(),
+              fuzz::IncrementalCounts(sigma, report))
+        << "step " << step << "\n"
+        << report.ToString(sigma);
   }
 }
 

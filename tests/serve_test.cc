@@ -984,6 +984,42 @@ TEST(SessionTest, OpenApplyClose) {
   EXPECT_FALSE(registry.Close(name.value()).ok());
 }
 
+TEST(SessionTest, SetSplitsSetValuedAttributes) {
+  // refs is NMTOKENS: "set 1 refs a b" sets the members a and b, as the
+  // XML parser reads refs="a b", not the one member "a b".
+  constexpr char kSetSchema[] = R"(<?xml version="1.0"?>
+<!DOCTYPE list [
+<!ELEMENT list (item*)>
+<!ELEMENT item EMPTY>
+<!ATTLIST item id CDATA #REQUIRED refs NMTOKENS #IMPLIED>
+<!-- xic:constraints language=L_u
+key item.id
+sfk item.refs -> item.id
+-->
+]>
+<list/>
+)";
+  Dispatcher dispatcher(FastOptions());
+  Result<PlanPtr> plan = dispatcher.CompileIntoCache(kSetSchema, "sets");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  SessionRegistry registry;
+  FaultInjector clean;
+  ASSERT_TRUE(registry.Open("s", plan.value()).ok());
+  Result<std::string> body = registry.Apply(
+      "s",
+      "add root list\nadd 0 item\nset 1 id a\nadd 0 item\nset 2 id b\n"
+      "set 1 refs a  b\nset 2 refs b\n",
+      clean, "k");
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_EQ(body.value(),
+            "vertex 0\nvertex 1\nok\nvertex 2\nok\nok\nok\n"
+            "consistent true violations 0\n");
+  // A single-valued attribute keeps its spaces: "a b" is a new key.
+  body = registry.Apply("s", "set 2 id a b\nset 2 refs c\n", clean, "k");
+  ASSERT_TRUE(body.ok());
+  EXPECT_EQ(body.value(), "ok\nok\nconsistent false violations 2\n");
+}
+
 TEST(SessionTest, RejectedStatementKeepsPriorState) {
   SessionRegistry registry;
   FaultInjector clean;

@@ -47,6 +47,21 @@ key entry.isbn
 <bib/>
 """
 
+# An NMTOKENS source of a set-valued foreign key: a session's "set" of
+# two space-separated values must arrive as two members.
+SET_SCHEMA = """<?xml version="1.0"?>
+<!DOCTYPE list [
+<!ELEMENT list (item*)>
+<!ELEMENT item EMPTY>
+<!ATTLIST item id CDATA #REQUIRED refs NMTOKENS #IMPLIED>
+<!-- xic:constraints language=L_u
+key item.id
+sfk item.refs -> item.id
+-->
+]>
+<list/>
+"""
+
 GOOD_DOC = SCHEMA.replace("<bib/>", '<bib><entry isbn="1"/><entry isbn="2"/></bib>')
 DUP_DOC = SCHEMA.replace("<bib/>", '<bib><entry isbn="1"/><entry isbn="1"/></bib>')
 
@@ -292,6 +307,22 @@ def run_functional_flow(port):
           "duplicate key flips the incremental verdict")
     code, _, _ = client.rpc("session.close", "", session=session)
     check(code == "ok", "session.close")
+
+    code, headers, _ = client.rpc("schema.put", SET_SCHEMA)
+    check(code == "ok", "schema.put of the set-valued schema")
+    code, headers, _ = client.rpc("session.open", "",
+                                  schema=headers.get("schema", ""))
+    check(code == "ok", "session.open on the set-valued schema")
+    session = headers.get("session", "")
+    code, _, body = client.rpc(
+        "session.apply",
+        "add root list\nadd 0 item\nset 1 id a\nadd 0 item\n"
+        "set 2 id b\nset 1 refs a b\nset 2 refs b\n",
+        session=session)
+    check(code == "ok" and body.endswith("consistent true violations 0\n"),
+          "a two-valued set of an NMTOKENS attribute sets two members")
+    code, _, _ = client.rpc("session.close", "", session=session)
+    check(code == "ok", "session.close of the set-valued session")
 
     code, headers, _ = client.rpc("frobnicate", "")
     check(code == "invalid-argument", "unknown verb is an explicit error")
