@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <exception>
+#include <thread>
 
-#include "engine/thread_pool.h"
+#include "engine/parallel_for.h"
 #include "obs/obs.h"
 #include "util/json_writer.h"
 
@@ -19,9 +21,18 @@ double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-std::string Fmt(const char* format, double a, double b) {
+// CPU time the calling thread has consumed; unlike Clock, it does not
+// advance while the thread waits off-CPU.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
+
+template <typename... Doubles>
+std::string Fmt(const char* format, Doubles... values) {
   char buffer[160];
-  std::snprintf(buffer, sizeof(buffer), format, a, b);
+  std::snprintf(buffer, sizeof(buffer), format, values...);
   return buffer;
 }
 
@@ -76,8 +87,9 @@ std::string BatchStats::ToString() const {
   double docs_per_sec = wall_seconds > 0 ? documents / wall_seconds : 0;
   out += Fmt("wall:  %.3f s (%.1f docs/s) on ", wall_seconds, docs_per_sec) +
          std::to_string(threads) + " thread(s)\n";
-  out += Fmt("stage: parse+structure %.3f s, constraints %.3f s\n",
-             parse_seconds, constraints_seconds);
+  out += Fmt(
+      "stage: parse+structure %.3f s, constraints %.3f s, cpu %.3f s\n",
+      parse_seconds, constraints_seconds, cpu_seconds);
   return out;
 }
 
@@ -323,19 +335,22 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
+  if (corpus.size() <= 1) threads = 1;
   // One document's full pipeline (all attempts), wrapped in a span tagged
   // with its deterministic input index. queue_wait measures fan-out start
-  // to pipeline start -- on the pool path that approximates time sitting
-  // in the worker deques.
+  // to pipeline start: thread start-up plus the documents this worker
+  // claimed before this one.
   auto run_one = [&](size_t i) {
     obs::ScopedSpan doc_span("batch.document", "engine");
     doc_span.SetSeq(static_cast<int64_t>(i));
     double queue_wait = Seconds(start, Clock::now());
     Clock::time_point doc_start = Clock::now();
+    double cpu_start = ThreadCpuSeconds();
     DocumentOutcome& o = report.outcomes[i];
     o = CheckOne(corpus[i], overrides);
+    o.cpu_seconds = ThreadCpuSeconds() - cpu_start;
     o.queue_wait_seconds = queue_wait;
-    o.worker = ThreadPool::current_worker();
+    o.worker = CurrentWorker();
     double doc_seconds = Seconds(doc_start, Clock::now());
     XIC_COUNTER_ADD("engine.batch.documents", 1);
     XIC_COUNTER_ADD("engine.batch.retries", o.attempts - 1);
@@ -357,15 +372,9 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
       }
     }
   };
-  if (threads <= 1 || corpus.size() <= 1) {
-    threads = 1;
-    for (size_t i = 0; i < corpus.size(); ++i) run_one(i);
-  } else {
-    ThreadPool pool(threads);
-    // Each worker writes only its own outcome slot; the Wait() inside
-    // ParallelFor publishes them to this thread.
-    pool.ParallelFor(corpus.size(), run_one);
-  }
+  // Each worker writes only its own outcome slot; ParallelFor's joins
+  // publish them to this thread.
+  ParallelFor(threads, corpus.size(), run_one);
   report.stats.wall_seconds = Seconds(start, Clock::now());
   report.stats.threads = threads;
   report.stats.documents = corpus.size();
@@ -386,6 +395,7 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
         o.structure.violations.size() + o.constraints.violations.size();
     report.stats.parse_seconds += o.parse_seconds;
     report.stats.constraints_seconds += o.constraints_seconds;
+    report.stats.cpu_seconds += o.cpu_seconds;
   }
   XIC_COUNTER_ADD("engine.batch.runs", 1);
   XIC_COUNTER_ADD("engine.batch.resource_failures",

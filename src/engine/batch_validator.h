@@ -5,8 +5,8 @@
 // A BatchValidator compiles the expensive shared state once -- a
 // StreamValidator (engine/stream_validator.h) holding the DTD's Glushkov
 // automata and the constraint extraction plan -- and then fans a corpus
-// of documents out across a work-stealing thread pool
-// (engine/thread_pool.h). Per document one streaming pass tokenizes the
+// of documents out across worker threads with one ParallelFor
+// (engine/parallel_for.h). Per document one streaming pass tokenizes the
 // bytes, runs the structural automata and extracts constraint tuples, and
 // a post-pass evaluates G |= Sigma over the extent logs; no tree is
 // built, so a worker's memory per document is bounded by the spill
@@ -70,11 +70,16 @@ struct DocumentOutcome {
   double structure_seconds = 0;
   /// The post-pass over the extent logs (StreamStats::assemble_seconds).
   double constraints_seconds = 0;
-  /// Delay between batch fan-out and this document's pipeline starting
-  /// (approximates time spent waiting in the pool's queues). Timing-only
-  /// diagnostics: excluded from ToJson/ViolationsToString.
+  /// CPU time the worker thread spent on this document (all attempts).
+  /// The stage times above are wall-clock and also count time spent
+  /// off-CPU; this does not.
+  double cpu_seconds = 0;
+  /// Delay between batch fan-out and this document's pipeline starting:
+  /// thread start-up plus the documents its worker ran before it.
+  /// Timing-only diagnostics, like the stage times and cpu_seconds:
+  /// excluded from ToJson/ViolationsToString.
   double queue_wait_seconds = 0;
-  /// Pool worker that ran the (final) attempt, -1 on the inline path.
+  /// ParallelFor worker that ran the document, -1 on the inline path.
   /// Scheduling-dependent; excluded from deterministic reports.
   int worker = -1;
 
@@ -120,10 +125,12 @@ struct BatchStats {
   size_t total_violations = 0;  // structural + constraint
   size_t threads = 1;
   double wall_seconds = 0;
-  /// Per-stage times summed across workers (CPU-ish, exceeds wall time
-  /// when the pool overlaps documents), split as in DocumentOutcome.
+  /// Per-stage wall-clock times summed across workers (exceeds wall time
+  /// when workers overlap documents), split as in DocumentOutcome.
   double parse_seconds = 0;
   double constraints_seconds = 0;
+  /// Thread CPU time summed over the documents.
+  double cpu_seconds = 0;
 
   /// Human-readable stats block (counts, wall time, docs/s, stage times).
   std::string ToString() const;

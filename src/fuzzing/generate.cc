@@ -436,6 +436,24 @@ std::vector<UpdateOp> GenerateUpdates(Rng& rng, const DtdStructure& dtd,
   // A tiny value pool maximizes delete-then-reinsert churn: the same
   // tuple is retracted and re-contributed over and over.
   size_t churn_pool = std::max<size_t>(2, opt.value_pool / 2);
+  // A valid write of `attr` on vertex `v`: one pool value, or
+  // `min_members` to two for a set-valued attribute.
+  auto set_from_pool = [&](VertexId v, const std::string& attr,
+                           size_t min_members) {
+    UpdateOp op;
+    op.kind = UpdateOp::Kind::kSetAttribute;
+    op.vertex = v;
+    op.attr = attr;
+    size_t members = dtd.IsSetValued(labels[v], attr)
+                         ? rng.Range(min_members, 2)
+                         : 1;
+    std::set<std::string> dedup;
+    while (dedup.size() < members) {
+      dedup.insert("v" + std::to_string(rng.Below(churn_pool)));
+    }
+    op.values.assign(dedup.begin(), dedup.end());
+    return op;
+  };
   size_t count = rng.Range(4, std::max<size_t>(4, opt.max_updates));
   for (size_t i = 0; i < count; ++i) {
     UpdateOp op;
@@ -445,6 +463,17 @@ std::vector<UpdateOp> GenerateUpdates(Rng& rng, const DtdStructure& dtd,
       op.label = rng.Pick(types);
       op.parent = static_cast<VertexId>(rng.Below(labels.size()));
       labels.push_back(op.label);
+      ops.push_back(std::move(op));
+      // Half of the new vertices get every attribute at once, so whole
+      // key and foreign-key tuples exist, collide and join; a partial
+      // tuple only ever reports its missing fields.
+      if (rng.Chance(50)) {
+        const VertexId added = static_cast<VertexId>(labels.size() - 1);
+        for (const std::string& attr : dtd.Attributes(labels[added])) {
+          ops.push_back(set_from_pool(added, attr, 1));
+        }
+      }
+      continue;
     } else if (kind < 75) {
       // Valid attribute write, biased toward low vertex ids so the same
       // fields get rewritten repeatedly.
@@ -456,16 +485,7 @@ std::vector<UpdateOp> GenerateUpdates(Rng& rng, const DtdStructure& dtd,
         --i;
         continue;
       }
-      op.kind = UpdateOp::Kind::kSetAttribute;
-      op.vertex = v;
-      op.attr = rng.Pick(attrs);
-      bool set_valued = dtd.IsSetValued(labels[v], op.attr);
-      size_t members = set_valued ? rng.Below(3) : 1;
-      std::set<std::string> dedup;
-      while (dedup.size() < members) {
-        dedup.insert("v" + std::to_string(rng.Below(churn_pool)));
-      }
-      op.values.assign(dedup.begin(), dedup.end());
+      op = set_from_pool(v, rng.Pick(attrs), 0);
     } else if (kind < 85) {
       // Must-reject adds: undeclared type or out-of-range parent.
       op.kind = UpdateOp::Kind::kAddElement;

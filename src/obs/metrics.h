@@ -10,7 +10,7 @@
 // consistent-enough snapshot for reporting.
 //
 // Naming convention: dot-separated, lower-case, subsystem first
-// ("lid.solver.steps", "engine.pool.queue_high_water"). DESIGN.md's
+// ("lid.solver.steps", "serve.sessions.high_water"). DESIGN.md's
 // Observability section is the canonical table of names; the theorem ->
 // metric mapping there (e.g. lid.solver.steps is linear in |Sigma| per
 // Theorem 3.2) is what makes the registry a reproduction artifact and
@@ -68,8 +68,8 @@ struct MetricsSnapshot {
 /// A monotonic counter (Add) that doubles as a high-water gauge
 /// (RecordMax). One registry entry is one or the other by convention.
 ///
-/// Cache-line aligned: hot counters ("engine.pool.tasks", the serve
-/// shed/hit counters) are bumped from every worker thread, and the
+/// Cache-line aligned: hot counters ("engine.batch.documents", the
+/// serve shed/hit counters) are bumped from every worker thread, and the
 /// registry's heap allocations would otherwise pack several atomics into
 /// one 64-byte line, turning independent counters into a false-sharing
 /// ping-pong (ROADMAP item 1).

@@ -6,7 +6,7 @@
 //   regex/         content models, Glushkov automata
 //   xml/           XML + DTD parsing, serialization
 //   constraints/   the languages L, L_u, L_id; well-formedness; checking
-//   engine/        parallel batch validation (work-stealing thread pool)
+//   engine/        parallel batch validation (one ParallelFor per batch)
 //   implication/   the solvers of Section 3 (I_id, I_u, I_u^f, I_p, chase)
 //   analysis/      static lint rules over (DTD, Sigma) pairs (xiclint)
 //   paths/         Section 4 path typing / evaluation / implication
@@ -28,8 +28,8 @@
 #include "constraints/repair.h"
 #include "constraints/well_formed.h"
 #include "engine/batch_validator.h"
+#include "engine/parallel_for.h"
 #include "engine/stream_validator.h"
-#include "engine/thread_pool.h"
 #include "fuzzing/corpus.h"
 #include "fuzzing/fuzzer.h"
 #include "fuzzing/generate.h"

@@ -1,9 +1,9 @@
-// The batch-validation engine: work-stealing pool correctness, and the
+// The batch-validation engine: ParallelFor correctness, and the
 // determinism contract -- a batch validated on N threads must produce a
 // byte-identical violation report to the sequential run.
 
+#include <algorithm>
 #include <atomic>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -11,95 +11,46 @@
 
 #include "constraints/constraint_parser.h"
 #include "engine/batch_validator.h"
-#include "engine/thread_pool.h"
+#include "engine/parallel_for.h"
 
 namespace {
 
 using namespace xic;
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPool, SingleThreadStillDrains) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(777);
-  pool.ParallelFor(hits.size(), [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, TasksMaySubmitMoreTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&pool, &counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-      pool.Submit(
-          [&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 200; ++i) {
-      pool.Submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
+  for (size_t threads : {1, 3, 16}) {
+    for (size_t n : {0, 1, 2, 1000}) {
+      std::vector<std::atomic<int>> hits(n);
+      ParallelFor(threads, n, [&](size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << " at " << threads
+            << " thread(s)";
+      }
     }
-    // No Wait(): the destructor must finish the queue before joining.
   }
-  EXPECT_EQ(counter.load(), 200);
 }
 
-TEST(ThreadPool, TracksQueueHighWaterMark) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.queue_high_water(), 0u);
-  // Block the only worker so further submissions pile up in the deque.
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  pool.Submit([gate] { gate.wait(); });
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([] {});
+TEST(ParallelForTest, CurrentWorkerIsSetInsideWorkersOnly) {
+  EXPECT_EQ(CurrentWorker(), -1);
+  for (size_t threads : {1, 3, 16}) {
+    for (size_t n : {1, 2, 64}) {
+      const int workers = static_cast<int>(std::min(threads, n));
+      std::atomic<int> bad{0};
+      ParallelFor(threads, n, [&](size_t) {
+        int worker = CurrentWorker();
+        // One worker runs inline on the caller, which is no worker.
+        bool ok = workers == 1 ? worker == -1
+                               : worker >= 0 && worker < workers;
+        if (!ok) bad.fetch_add(1);
+      });
+      EXPECT_EQ(bad.load(), 0) << n << " index(es) at " << threads
+                               << " thread(s)";
+      EXPECT_EQ(CurrentWorker(), -1);
+    }
   }
-  release.set_value();
-  pool.Wait();
-  EXPECT_GE(pool.queue_high_water(), 10u);
-  EXPECT_LE(pool.queue_high_water(), 11u);
-}
-
-TEST(ThreadPool, CurrentWorkerIsSetInsideTasksOnly) {
-  EXPECT_EQ(ThreadPool::current_worker(), -1);
-  ThreadPool pool(3);
-  std::atomic<int> bad{0};
-  pool.ParallelFor(64, [&](size_t) {
-    int worker = ThreadPool::current_worker();
-    if (worker < 0 || worker >= 3) bad.fetch_add(1);
-  });
-  EXPECT_EQ(bad.load(), 0);
-  EXPECT_EQ(ThreadPool::current_worker(), -1);
 }
 
 // -- Batch validation corpus ------------------------------------------------
@@ -387,6 +338,21 @@ TEST(BatchValidator, CleanCorpusIsAllOk) {
   EXPECT_TRUE(report.all_ok()) << report.ViolationsToString(sigma);
   EXPECT_EQ(report.stats.total_violations, 0u);
   EXPECT_EQ(report.ViolationsToString(sigma), "");
+}
+
+// cpu_seconds is thread CPU time: on one thread it is positive and no
+// larger than the run's wall time, and the stage line reports it.
+TEST(BatchValidator, CpuSecondsFitsInWallTimeOnOneThread) {
+  DtdStructure dtd = CatalogDtd();
+  ConstraintSet sigma = CatalogSigma();
+  BatchValidator validator(dtd, sigma, Threads(1));
+  BatchReport report = validator.Run(MakeCorpus(200));
+  double summed = 0;
+  for (const DocumentOutcome& o : report.outcomes) summed += o.cpu_seconds;
+  EXPECT_EQ(report.stats.cpu_seconds, summed);
+  EXPECT_GT(report.stats.cpu_seconds, 0);
+  EXPECT_LE(report.stats.cpu_seconds, report.stats.wall_seconds + 1e-3);
+  EXPECT_NE(report.stats.ToString().find(", cpu "), std::string::npos);
 }
 
 }  // namespace

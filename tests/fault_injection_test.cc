@@ -1,4 +1,4 @@
-// Fault isolation: the deterministic FaultInjector seam, ThreadPool
+// Fault isolation: the deterministic FaultInjector seam, ParallelFor
 // exception safety, and the batch engine's contract that a poisoned
 // document becomes a per-document outcome -- never a lost batch -- with
 // byte-identical reports at any thread count. Ends with the issue's
@@ -15,7 +15,7 @@
 
 #include "constraints/constraint_parser.h"
 #include "engine/batch_validator.h"
-#include "engine/thread_pool.h"
+#include "engine/parallel_for.h"
 #include "util/fault_injector.h"
 
 namespace {
@@ -106,59 +106,28 @@ TEST(FaultInjector, ThrowModeThrows) {
   EXPECT_THROW(injector.MaybeFail("parse", "doc"), std::runtime_error);
 }
 
-// -- ThreadPool exception safety ---------------------------------------------
+// -- ParallelFor exception safety --------------------------------------------
 
-TEST(ThreadPoolFaults, SubmittedTaskThrowingDoesNotKillWorkers) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
+TEST(ParallelForFaults, ParallelForRethrowsInCaller) {
+  // 1 runs inline on the caller; 4 runs on worker threads.
+  for (size_t threads : {1, 4}) {
+    std::vector<std::atomic<int>> hits(64);
+    bool threw = false;
+    try {
+      ParallelFor(threads, hits.size(), [&](size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+        if (i == 13) throw std::runtime_error("iteration 13");
+      });
+    } catch (const std::runtime_error& e) {
+      threw = true;
+      EXPECT_STREQ(e.what(), "iteration 13");
+    }
+    EXPECT_TRUE(threw) << threads << " thread(s)";
+    // Every other iteration still ran exactly once (no lost work).
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);  // the pool survived the throw
-  std::vector<std::exception_ptr> errors = pool.TakeTaskErrors();
-  ASSERT_EQ(errors.size(), 1u);
-  try {
-    std::rethrow_exception(errors[0]);
-    FAIL() << "expected runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom");
-  }
-  // TakeTaskErrors drains.
-  EXPECT_TRUE(pool.TakeTaskErrors().empty());
-
-  // The pool is still fully usable afterwards.
-  pool.Submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 101);
-}
-
-TEST(ThreadPoolFaults, ParallelForRethrowsInCaller) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  bool threw = false;
-  try {
-    pool.ParallelFor(hits.size(), [&](size_t i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-      if (i == 13) throw std::runtime_error("iteration 13");
-    });
-  } catch (const std::runtime_error& e) {
-    threw = true;
-    EXPECT_STREQ(e.what(), "iteration 13");
-  }
-  EXPECT_TRUE(threw);
-  // Every other iteration still ran exactly once (no latch deadlock, no
-  // lost work).
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-  // Pool still usable.
-  std::atomic<int> counter{0};
-  pool.ParallelFor(10, [&](size_t) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(counter.load(), 10);
 }
 
 // -- Batch engine fault isolation -------------------------------------------

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "engine/batch_validator.h"
-#include "engine/thread_pool.h"
+#include "engine/parallel_for.h"
 #include "obs/obs.h"
 #include "obs_cli.h"
 #include "xml/dtdc_io.h"
@@ -148,16 +148,14 @@ TEST(TraceTest, SpanNestingWithinThread) {
 // same deterministic tree string.
 std::string TraceParallelFanout(size_t threads) {
   Tracer::Global().Start();
-  {
-    ThreadPool pool(threads);
-    pool.ParallelFor(12, [](size_t i) {
-      ScopedSpan span("work.item", "test");
-      span.SetSeq(static_cast<int64_t>(i));
-      span.AddInt("i", static_cast<int64_t>(i));
-      ScopedSpan child("work.sub", "test");
-      child.SetSeq(static_cast<int64_t>(i));
-    });
-  }  // pool joined: every worker span is closed
+  // ParallelFor joins its workers: every worker span is closed.
+  ParallelFor(threads, 12, [](size_t i) {
+    ScopedSpan span("work.item", "test");
+    span.SetSeq(static_cast<int64_t>(i));
+    span.AddInt("i", static_cast<int64_t>(i));
+    ScopedSpan child("work.sub", "test");
+    child.SetSeq(static_cast<int64_t>(i));
+  });
   Tracer::Global().Stop();
   obs::TreeStringOptions options;
   options.root_name = "work.item";
@@ -367,25 +365,6 @@ TEST(PromTest, RegistryHistogramBoundariesRenderCumulative) {
       << text;
   EXPECT_NE(text.find("xic_prom_test_lat_count 3\n"), std::string::npos)
       << text;
-}
-
-TEST(EngineObsTest, QueueHighWaterMarkIsTracked) {
-  Registry::Global().ResetAll();
-  ThreadPool pool(2);
-  // Submit from outside the pool so tasks pile up in the deques.
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&done] { done.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 32);
-  size_t high_water = pool.queue_high_water();
-  EXPECT_GE(high_water, 1u);
-  EXPECT_LE(high_water, 32u);
-  EXPECT_EQ(Registry::Global()
-                .GetCounter("engine.pool.queue_high_water")
-                .value(),
-            high_water);
 }
 
 // ObsCliSession::Flush is the live-export path: xicd snapshots a running

@@ -26,7 +26,7 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/thread_pool.h"
+#include "engine/parallel_for.h"
 #include "serve/dispatcher.h"
 #include "serve/plan_cache.h"
 #include "serve/protocol.h"
@@ -732,8 +732,7 @@ TEST(DispatcherTest, FaultedResponsesAreByteStableAcrossThreadCounts) {
     const std::string schema = plan.value()->key;
 
     std::vector<std::string> wire(kRequests);
-    ThreadPool pool(threads);
-    pool.ParallelFor(kRequests, [&](size_t i) {
+    ParallelFor(threads, kRequests, [&](size_t i) {
       std::string id = "req-" + std::to_string(i);
       Request request =
           i % 3 == 0
@@ -803,8 +802,7 @@ TEST(DispatcherTest, TraceIdsAreByteStableAcrossThreadCounts) {
   auto run = [](size_t threads) {
     Dispatcher dispatcher(FastOptions());
     std::vector<std::string> ids(kRequests);
-    ThreadPool pool(threads);
-    pool.ParallelFor(kRequests, [&](size_t i) {
+    ParallelFor(threads, kRequests, [&](size_t i) {
       Response response = dispatcher.Handle(
           MakeRequest("ping", "", {{"id", "req-" + std::to_string(i)}}));
       ids[i] = response.headers.at("trace-id");

@@ -58,8 +58,8 @@ TEST(MutexTest, TryLockReportsHeldMutex) {
 }
 
 TEST(MutexLockTest, UnlockRelockCycleGuardsBothSides) {
-  // The Unlock()/Lock() hand-off pattern the thread pool uses: drop the
-  // lock around "blocking" work, retake it after, and let the destructor
+  // The Unlock()/Lock() hand-off pattern: drop the lock around
+  // "blocking" work, retake it after, and let the destructor
   // release only when the scope still owns the mutex.
   Mutex mutex;
   int value = 0;
