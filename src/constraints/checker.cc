@@ -91,8 +91,20 @@ ConstraintPlan::ConstraintPlan(const DtdStructure& d, const ConstraintSet& s)
         // extract.
         if (keys.key.empty() || keys.ref_key.empty()) break;
         if (c.attrs.empty() || c.ref_attrs.empty()) break;
-        add_role(c.element, Role::kInvExt, i, {keys.key, c.attr()});
-        add_role(c.ref_element, Role::kInvRef, i, {keys.ref_key, c.ref_attr()});
+        logs[i].ext = log_of(c.element, Role::kValues, {c.attr()});
+        logs[i].target = log_of(c.ref_element, Role::kTuple, {keys.ref_key});
+        logs[i].ref_ext = log_of(c.ref_element, Role::kValues, {c.ref_attr()});
+        logs[i].ref_target = log_of(c.element, Role::kTuple, {keys.key});
+        logs[i].pairs = log_count++;
+        add_role(c.element, Role::kRefPairs, logs[i].pairs,
+                 {keys.key, c.attr()});
+        add_role(c.ref_element, Role::kBackPairs, logs[i].pairs,
+                 {keys.ref_key, c.ref_attr()});
+        logs[i].ref_pairs = log_count++;
+        add_role(c.ref_element, Role::kRefPairs, logs[i].ref_pairs,
+                 {keys.ref_key, c.ref_attr()});
+        add_role(c.element, Role::kBackPairs, logs[i].ref_pairs,
+                 {keys.key, c.attr()});
         break;
       }
     }

@@ -85,19 +85,20 @@ struct ConstraintPlan {
   /// The DTD and Sigma must outlive the plan and stay unmodified.
   ConstraintPlan(const DtdStructure& dtd, const ConstraintSet& sigma);
 
-  /// Per-vertex extraction roles of one element type. A tuple or value
-  /// role fills one extent log; every constraint that reads the same
-  /// extent names the same log (see `logs`).
+  /// Per-vertex extraction roles of one element type. Every role fills
+  /// one extent log; every constraint that reads the same extent names
+  /// the same log (see `logs`).
   struct Role {
     enum Kind {
       kTuple,   // the encoded tuple of `fields` -> log `index`
       kValues,  // each value of the set-valued field -> log `index`,
                 // encoded as a 1-tuple and ranked by its set position
-      kInvExt,  // ext(tau) of inverse `index`: (key, set) -> in-memory
-      kInvRef,  // ext(tau') of inverse `index`: (key, set) -> in-memory
+      kRefPairs,   // fields {key, set}: each set value v -> log `index`
+                   // as the 2-tuple (v, key), ranked as in kValues
+      kBackPairs,  // ... as (key, v), ranked past every set position
     };
     Kind kind;
-    size_t index;                // log id (kTuple, kValues) or constraint
+    size_t index;                // log id
     std::vector<size_t> fields;  // indexes into TypePlan::fields
   };
 
@@ -122,11 +123,18 @@ struct ConstraintPlan {
   /// IDs and foreign-key sources; ext(tau') for foreign-key targets. A
   /// key, an ID and every foreign key into the same (type, ordered field
   /// list) share one log, so that extent is appended, sorted and spilled
-  /// once. kNoLog where the constraint reads no such log.
+  /// once. kNoLog where the constraint reads no such log. An inverse
+  /// reads tau.l's values (`ext`) against tau''s key (`target`) and the
+  /// (tau' key, tau key) pairs tau claims and tau' confirms (`pairs`);
+  /// the `ref_` logs are the same for tau'.l' against tau's key.
   static constexpr size_t kNoLog = static_cast<size_t>(-1);
   struct ConstraintLogs {
     size_t ext = kNoLog;
     size_t target = kNoLog;
+    size_t pairs = kNoLog;
+    size_t ref_ext = kNoLog;
+    size_t ref_target = kNoLog;
+    size_t ref_pairs = kNoLog;
   };
 
   const DtdStructure& dtd;

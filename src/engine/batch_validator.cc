@@ -374,9 +374,8 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
   };
   // Each worker writes only its own outcome slot; ParallelFor's joins
   // publish them to this thread.
-  ParallelFor(threads, corpus.size(), run_one);
+  report.stats.threads = ParallelFor(threads, corpus.size(), run_one);
   report.stats.wall_seconds = Seconds(start, Clock::now());
-  report.stats.threads = threads;
   report.stats.documents = corpus.size();
   for (const DocumentOutcome& o : report.outcomes) {
     if (o.ok()) ++report.stats.ok_documents;
@@ -403,7 +402,8 @@ BatchReport BatchValidator::Run(const std::vector<BatchDocument>& corpus,
   if (batch_span.active()) {
     batch_span.AddInt("documents",
                       static_cast<int64_t>(report.stats.documents));
-    batch_span.AddInt("threads", static_cast<int64_t>(threads));
+    batch_span.AddInt("threads",
+                      static_cast<int64_t>(report.stats.threads));
     batch_span.AddInt("retries", static_cast<int64_t>(report.stats.retries));
     batch_span.AddInt("violations",
                       static_cast<int64_t>(report.stats.total_violations));

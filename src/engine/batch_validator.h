@@ -123,7 +123,7 @@ struct BatchStats {
   size_t retries = 0;
   size_t total_vertices = 0;
   size_t total_violations = 0;  // structural + constraint
-  size_t threads = 1;
+  size_t threads = 1;  // workers that ran the batch
   double wall_seconds = 0;
   /// Per-stage wall-clock times summed across workers (exceeds wall time
   /// when workers overlap documents), split as in DocumentOutcome.

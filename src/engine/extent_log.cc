@@ -368,4 +368,11 @@ std::string_view DecodeSingle(std::string_view payload) {
   return payload.substr(payload.find(':') + 1);
 }
 
+std::string_view FirstField(std::string_view payload) {
+  const size_t colon = payload.find(':');
+  size_t len = 0;
+  std::from_chars(payload.data(), payload.data() + colon, len);
+  return payload.substr(0, colon + 1 + len);
+}
+
 }  // namespace xic

@@ -193,6 +193,11 @@ std::vector<std::string> DecodeTuple(std::string_view payload);
 /// The value of an encoded 1-tuple ("3:abc" -> "abc"), as a view into
 /// `payload`.
 std::string_view DecodeSingle(std::string_view payload);
+/// The encoding of a tuple's first field, as a prefix of `payload`
+/// ("3:abc2:xy" -> "3:abc"). Encodings are prefix-free, so a log of
+/// 2-tuples scans grouped by first field, in the order in which a log of
+/// those fields as 1-tuples scans.
+std::string_view FirstField(std::string_view payload);
 
 }  // namespace xic
 

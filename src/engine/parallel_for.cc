@@ -21,8 +21,8 @@ thread_local int tl_worker_index = -1;
 
 int CurrentWorker() { return tl_worker_index; }
 
-void ParallelFor(size_t threads, size_t n,
-                 const std::function<void(size_t)>& fn) {
+size_t ParallelFor(size_t threads, size_t n,
+                   const std::function<void(size_t)>& fn) {
   std::atomic<size_t> next{0};
   // Written once, by the iteration that flips `failed`; read after the
   // joins.
@@ -66,6 +66,7 @@ void ParallelFor(size_t threads, size_t n,
   if (workers.empty()) drain();
   for (std::thread& worker : workers) worker.join();
   if (first_error != nullptr) std::rethrow_exception(first_error);
+  return workers.empty() ? 1 : workers.size();
 }
 
 }  // namespace xic

@@ -25,8 +25,9 @@ namespace xic {
 /// one worker (threads <= 1 or n <= 1) the loop runs inline on the
 /// caller. A thread that cannot be started is not an error: the workers
 /// that did start run the whole loop, or the caller when none did.
-void ParallelFor(size_t threads, size_t n,
-                 const std::function<void(size_t)>& fn);
+/// Returns the number of workers that ran, 1 for the caller.
+size_t ParallelFor(size_t threads, size_t n,
+                   const std::function<void(size_t)>& fn);
 
 /// Index of the ParallelFor worker running the calling thread, or -1
 /// outside a worker (the inline path included). Used to tag per-document

@@ -38,6 +38,80 @@ StreamValidator::StreamValidator(const DtdStructure& dtd,
 
 namespace {
 
+// The rank of a kBackPairs record: past any set position, so a pair log
+// tells the side that confirms a pair from the side that claims it.
+constexpr uint32_t kBackRank = ~uint32_t{0};
+
+// Calls f(group) for each run of equal payloads in `log`'s scan, the
+// group's records in (seq, rank) order.
+template <typename F>
+void ForEachGroup(const TupleLog& log, F&& f) {
+  std::vector<TupleLog::Record> group;
+  TupleLog::Cursor cur = log.Scan();
+  TupleLog::Record r;
+  bool more = cur.Next(&r);
+  while (more) {
+    group.clear();
+    const std::string_view payload = r.payload;
+    for (; more && r.payload == payload; more = cur.Next(&r)) {
+      group.push_back(r);
+    }
+    f(group);
+  }
+}
+
+// Calls f(e) for each record e of `ext` whose payload no record of
+// `target` holds: the dangling side of an inclusion, as a merge-join of
+// two payload-ordered scans. A violated key leaves duplicates in
+// `target`, which the join skips over.
+template <typename F>
+void ForEachDangling(const TupleLog& ext, const TupleLog& target, F&& f) {
+  TupleLog::Cursor tcur = target.Scan(), ecur = ext.Scan();
+  TupleLog::Record t, e;
+  bool thave = tcur.Next(&t);
+  while (ecur.Next(&e)) {
+    while (thave && t.payload < e.payload) thave = tcur.Next(&t);
+    if (!thave || t.payload != e.payload) f(e);
+  }
+}
+
+// Calls f(r, holder) for each claim r = (a, b) of `pairs` (a vertex with
+// key b references a) and each holder of key a in `keys` that confirms
+// no (a, b): the "references but not back" side of an inverse. `pairs`
+// scans grouped by a, in `keys`'s order (FirstField), so one forward
+// pass over each log suffices; every holder of a duplicated key counts.
+template <typename F>
+void ForEachUnconfirmed(const TupleLog& pairs, const TupleLog& keys, F&& f) {
+  TupleLog::Cursor kcur = keys.Scan();
+  TupleLog::Record k;
+  bool khave = kcur.Next(&k);
+  std::string_view key;  // whose holders are listed; no encoding is empty
+  std::vector<uint32_t> holders, confirmed;
+  ForEachGroup(pairs, [&](const std::vector<TupleLog::Record>& group) {
+    confirmed.clear();  // ascending: a group is in seq order
+    for (const TupleLog::Record& r : group) {
+      if (r.rank == kBackRank) confirmed.push_back(r.seq);
+    }
+    const std::string_view a = FirstField(group[0].payload);
+    if (a != key) {
+      key = a;
+      holders.clear();
+      while (khave && k.payload < a) khave = kcur.Next(&k);
+      for (; khave && k.payload == a; khave = kcur.Next(&k)) {
+        holders.push_back(k.seq);
+      }
+    }
+    for (const TupleLog::Record& claim : group) {
+      if (claim.rank == kBackRank) continue;
+      for (uint32_t h : holders) {
+        if (!std::binary_search(confirmed.begin(), confirmed.end(), h)) {
+          f(claim, h);
+        }
+      }
+    }
+  });
+}
+
 class StreamRun {
  public:
   /// A null `validator` makes no structural findings. `tok_dtd` is null
@@ -54,7 +128,6 @@ class StreamRun {
         budget_(options.spill_budget_bytes) {
     logs_.resize(plan_.log_count);
     for (ExtentLog& xl : logs_) xl.log = std::make_unique<TupleLog>(&budget_);
-    inverses_.resize(plan_.sigma.constraints.size());
     if (plan_.needs_global_ids) {
       global_ids_ = std::make_unique<TupleLog>(&budget_);
     }
@@ -151,19 +224,6 @@ class StreamRun {
     std::vector<uint32_t> missing;  // seqs with a missing field
   };
 
-  // One inverse constraint's extents. Inverses need random access to
-  // both; they are held in memory (see DESIGN.md for the bound).
-  struct InvEntry {
-    uint32_t seq = 0;
-    bool has_key = false;
-    std::string key;
-    bool has_set = false;
-    std::vector<std::string> set;  // ascending (attribute-set order)
-  };
-  struct InvExtents {
-    std::vector<InvEntry> ext, ref;
-  };
-
   void OnStart(const StreamEvent& ev);
   void OnTreeVertex(const DataTree& tree, VertexId v);
   void CheckStartTag(uint32_t seq, Symbol label, const LabelInfo& info);
@@ -195,7 +255,7 @@ class StreamRun {
   bool TupleOf(const Frame& frame, const std::vector<size_t>& fields,
                std::vector<std::string_view>* out);
   void EmitRoles(const Frame& frame);
-  void Append(ExtentLog& xl, uint32_t seq, uint32_t rank,
+  void Append(TupleLog& log, uint32_t seq, uint32_t rank,
               std::string_view payload);
 
   void AddSViol(uint32_t seq, uint64_t rank, std::string msg) {
@@ -215,8 +275,7 @@ class StreamRun {
   // budget_ must precede every TupleLog owner: logs deregister from the
   // budget on destruction.
   SpillBudget budget_;
-  std::vector<ExtentLog> logs_;      // by plan log id
-  std::vector<InvExtents> inverses_;  // by constraint
+  std::vector<ExtentLog> logs_;  // by plan log id
   std::unique_ptr<TupleLog> global_ids_;
 
   SymbolTable syms_;  // the text feed's interned names
@@ -236,11 +295,11 @@ class StreamRun {
   std::vector<std::string_view> tokens_;
   std::vector<std::string_view> view_scratch_;
   std::vector<std::string_view> one_value_ = {{}};  // a 1-tuple to encode
+  std::vector<std::string_view> pair_ = {{}, {}};    // a 2-tuple to encode
   std::string encode_buf_;
 
   bool spill_failed_ = false;
   Status spill_error_ = Status::OK();
-  size_t extent_records_ = 0;
   size_t field_steps_ = 0;
 };
 
@@ -469,11 +528,7 @@ void StreamRun::OpenFrame(uint32_t seq, Symbol label, LabelInfo& info) {
       Tokenize(*a);
       if (tokens_.size() == 1) {
         ++field_steps_;
-        Status s = global_ids_->Append(seq, 0, tokens_[0]);
-        if (!s.ok()) {
-          spill_failed_ = true;
-          spill_error_ = std::move(s);
-        }
+        Append(*global_ids_, seq, 0, tokens_[0]);
       }
     }
   }
@@ -586,16 +641,13 @@ bool StreamRun::TupleOf(const Frame& frame, const std::vector<size_t>& fields,
   return true;
 }
 
-void StreamRun::Append(ExtentLog& xl, uint32_t seq, uint32_t rank,
+void StreamRun::Append(TupleLog& log, uint32_t seq, uint32_t rank,
                        std::string_view payload) {
   if (spill_failed_) return;
-  Status s = xl.log->Append(seq, rank, payload);
-  if (!s.ok()) {
+  if (Status s = log.Append(seq, rank, payload); !s.ok()) {
     spill_failed_ = true;
     spill_error_ = std::move(s);
-    return;
   }
-  ++extent_records_;
 }
 
 void StreamRun::EmitRoles(const Frame& frame) {
@@ -608,7 +660,7 @@ void StreamRun::EmitRoles(const Frame& frame) {
           break;
         }
         EncodeTupleInto(view_scratch_, &encode_buf_);
-        Append(xl, frame.seq, 0, encode_buf_);
+        Append(*xl.log, frame.seq, 0, encode_buf_);
         break;
       }
       case Role::kValues: {
@@ -621,26 +673,27 @@ void StreamRun::EmitRoles(const Frame& frame) {
         for (std::string_view v : view_scratch_) {
           one_value_[0] = v;
           EncodeTupleInto(one_value_, &encode_buf_);
-          Append(xl, frame.seq, rank++, encode_buf_);
+          Append(*xl.log, frame.seq, rank++, encode_buf_);
         }
         break;
       }
-      case Role::kInvExt:
-      case Role::kInvRef: {
-        InvEntry e;
-        e.seq = frame.seq;
-        if (std::optional<std::string_view> k =
-                SingleOf(frame.fields[role.fields[0]])) {
-          e.has_key = true;
-          e.key = std::string(*k);
+      case Role::kRefPairs:
+      case Role::kBackPairs: {
+        std::optional<std::string_view> key =
+            SingleOf(frame.fields[role.fields[0]]);
+        if (!key.has_value() ||
+            !SetOf(frame.fields[role.fields[1]], &view_scratch_)) {
+          break;
         }
-        if (SetOf(frame.fields[role.fields[1]], &view_scratch_)) {
-          e.has_set = true;
-          e.set.assign(view_scratch_.begin(), view_scratch_.end());
+        const bool ref = role.kind == Role::kRefPairs;
+        pair_[ref ? 1 : 0] = *key;
+        uint32_t rank = 0;
+        for (std::string_view v : view_scratch_) {
+          pair_[ref ? 0 : 1] = v;
+          EncodeTupleInto(pair_, &encode_buf_);
+          Append(*logs_[role.index].log, frame.seq, ref ? rank++ : kBackRank,
+                 encode_buf_);
         }
-        InvExtents& inv = inverses_[role.index];
-        (role.kind == Role::kInvExt ? inv.ext : inv.ref)
-            .push_back(std::move(e));
         break;
       }
     }
@@ -768,7 +821,9 @@ void StreamRun::Assemble(StreamOutcome* out) {
   }
   AssembleConstraints(&out->constraints);
   out->constraints.steps = field_steps_;
-  out->stats.extent_records = extent_records_;
+  for (const ExtentLog& xl : logs_) {
+    out->stats.extent_records += xl.log->record_count();
+  }
   out->stats.spilled_bytes = budget_.spilled_bytes();
   out->stats.spill_runs = budget_.spill_runs();
 }
@@ -791,7 +846,6 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
   // Every extent log is sealed before any constraint reads it: one log
   // may serve constraints anywhere in Sigma.
   for (ExtentLog& xl : logs_) {
-    std::sort(xl.missing.begin(), xl.missing.end());
     if (Status s = xl.log->Finish(); !s.ok()) {
       report->status = std::move(s);
       return;
@@ -806,24 +860,11 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
       report->status = std::move(s);
       return;
     }
-    TupleLog::Cursor cur = global_ids_->Scan();
-    TupleLog::Record r;
-    std::string value;
-    std::vector<VertexId> holders;
-    bool have = false;
-    auto flush = [&] {
-      if (have && holders.size() > 1) dup_ids.emplace(value, holders);
-    };
-    while (cur.Next(&r)) {
-      if (!have || r.payload != value) {
-        flush();
-        value = std::string(r.payload);
-        holders.clear();
-        have = true;
-      }
-      holders.push_back(r.seq);
-    }
-    flush();
+    ForEachGroup(*global_ids_, [&](const std::vector<TupleLog::Record>& g) {
+      if (g.size() < 2) return;
+      std::vector<VertexId>& holders = dup_ids[std::string(g[0].payload)];
+      for (const TupleLog::Record& r : g) holders.push_back(r.seq);
+    });
   }
 
   // A violation pending its position among the constraint's others.
@@ -835,8 +876,30 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
     std::vector<std::string> values;
   };
   std::vector<PV> pvs;
-  auto log_of = [&](size_t id) -> const ExtentLog* {
-    return id == ConstraintPlan::kNoLog ? nullptr : &logs_[id];
+  // Reports constraint `index`'s pvs in (seq, rank) order, ties in
+  // collection order.
+  auto flush = [&](size_t index) {
+    std::stable_sort(pvs.begin(), pvs.end(), [](const PV& a, const PV& b) {
+      if (a.seq != b.seq) return a.seq < b.seq;
+      return a.rank < b.rank;
+    });
+    for (PV& p : pvs) {
+      if (full()) break;
+      add(index, std::move(p.msg), std::move(p.wit), std::move(p.values));
+    }
+    pvs.clear();
+  };
+  auto log = [&](size_t id) -> const TupleLog& { return *logs_[id].log; };
+  // The set values logged in `values` that are not in `key`, rendered
+  // as prefix + value + suffix.
+  auto dangling_values = [&](size_t values, size_t key,
+                             const std::string& prefix,
+                             const std::string& suffix) {
+    ForEachDangling(log(values), log(key), [&](const TupleLog::Record& e) {
+      const std::string value(DecodeSingle(e.payload));
+      pvs.push_back(
+          PV{e.seq, e.rank, prefix + value + suffix, {e.seq}, {value}});
+    });
   };
 
   for (size_t i = 0; i < plan_.sigma.constraints.size() && !full(); ++i) {
@@ -845,196 +908,96 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
       return;
     }
     const Constraint& c = plan_.sigma.constraints[i];
-    const ExtentLog* ext = log_of(plan_.logs[i].ext);
-    const ExtentLog* target = log_of(plan_.logs[i].target);
-    pvs.clear();
+    const ConstraintPlan::ConstraintLogs& ids = plan_.logs[i];
+    const ConstraintPlan::InverseKeys& ik = plan_.inverse_keys[i];
+    if (c.kind == ConstraintKind::kInverse &&
+        (ik.key.empty() || ik.ref_key.empty())) {
+      add(i, "inverse constraint lacks key attributes", {});
+      continue;
+    }
+    if (ids.ext == ConstraintPlan::kNoLog) continue;
+    const char* missing = nullptr;  // the message for ext's missing seqs
 
     switch (c.kind) {
-      case ConstraintKind::kKey: {
-        TupleLog::Cursor cur = ext->log->Scan();
-        TupleLog::Record r;
-        std::string group;
-        uint32_t first = 0;
-        bool have = false;
-        while (cur.Next(&r)) {
-          if (!have || r.payload != group) {
-            group = std::string(r.payload);
-            first = r.seq;
-            have = true;
-            continue;
+      case ConstraintKind::kKey:
+        ForEachGroup(log(ids.ext), [&](const std::vector<TupleLog::Record>& g) {
+          for (size_t j = 1; j < g.size(); ++j) {
+            std::vector<std::string> vals = DecodeTuple(g[j].payload);
+            pvs.push_back(PV{g[j].seq, 0,
+                             "duplicate key [" + Join(vals, ",") + "]",
+                             {g[0].seq, g[j].seq}, std::move(vals)});
           }
-          std::vector<std::string> vals = DecodeTuple(r.payload);
-          pvs.push_back(PV{r.seq, 0, "duplicate key [" + Join(vals, ",") + "]",
-                           {first, r.seq}, std::move(vals)});
-        }
-        for (uint32_t seq : ext->missing) {
-          pvs.push_back(PV{seq, 0, "key field missing", {seq}, {}});
-        }
+        });
+        missing = "key field missing";
         break;
-      }
 
-      case ConstraintKind::kId: {
-        if (ext == nullptr) break;
-        TupleLog::Cursor cur = ext->log->Scan();
-        TupleLog::Record r;
-        std::string group;
-        bool have = false;
-        while (cur.Next(&r)) {
-          if (have && r.payload == group) continue;
-          group = std::string(r.payload);
-          have = true;
-          const std::string_view value = DecodeSingle(r.payload);
+      case ConstraintKind::kId:
+        ForEachGroup(log(ids.ext), [&](const std::vector<TupleLog::Record>& g) {
+          const std::string_view value = DecodeSingle(g[0].payload);
           auto it = dup_ids.find(value);
           if (it != dup_ids.end()) {
-            pvs.push_back(PV{r.seq, 0,
+            pvs.push_back(PV{g[0].seq, 0,
                              "ID value \"" + std::string(value) +
                                  "\" is not document-unique",
                              it->second, {std::string(value)}});
           }
-        }
-        for (uint32_t seq : ext->missing) {
-          pvs.push_back(PV{seq, 0, "ID attribute missing", {seq}, {}});
-        }
+        });
+        missing = "ID attribute missing";
         break;
-      }
 
       case ConstraintKind::kForeignKey:
-      case ConstraintKind::kSetForeignKey: {
-        if (ext == nullptr) break;
-        const bool set_valued = c.kind == ConstraintKind::kSetForeignKey;
-        // The target log is the key's (or ID's) extent; a violated key
-        // leaves duplicates in it, which the join skips over.
-        TupleLog::Cursor tcur = target->log->Scan();
-        TupleLog::Record t;
-        bool thave = tcur.Next(&t);
-        TupleLog::Cursor ecur = ext->log->Scan();
-        TupleLog::Record e;
-        while (ecur.Next(&e)) {
-          while (thave && t.payload < e.payload) thave = tcur.Next(&t);
-          if (thave && t.payload == e.payload) continue;
-          if (set_valued) {
-            const std::string value(DecodeSingle(e.payload));
-            pvs.push_back(PV{e.seq, e.rank,
-                             "dangling reference \"" + value + "\"",
-                             {e.seq},
-                             {value}});
-          } else {
-            std::vector<std::string> vals = DecodeTuple(e.payload);
-            pvs.push_back(PV{e.seq, 0,
-                             "dangling reference [" + Join(vals, ",") + "]",
-                             {e.seq}, std::move(vals)});
-          }
-        }
-        const char* missing_msg = set_valued ? "set-valued field missing"
-                                             : "foreign-key field missing";
-        for (uint32_t seq : ext->missing) {
-          pvs.push_back(PV{seq, 0, missing_msg, {seq}, {}});
-        }
+        ForEachDangling(
+            log(ids.ext), log(ids.target), [&](const TupleLog::Record& e) {
+              std::vector<std::string> vals = DecodeTuple(e.payload);
+              pvs.push_back(
+                  PV{e.seq, 0, "dangling reference [" + Join(vals, ",") + "]",
+                     {e.seq}, std::move(vals)});
+            });
+        missing = "foreign-key field missing";
         break;
-      }
+
+      case ConstraintKind::kSetForeignKey:
+        dangling_values(ids.ext, ids.target, "dangling reference \"", "\"");
+        missing = "set-valued field missing";
+        break;
 
       case ConstraintKind::kInverse: {
-        const ConstraintPlan::InverseKeys& ik = plan_.inverse_keys[i];
-        if (ik.key.empty() || ik.ref_key.empty()) {
-          add(i, "inverse constraint lacks key attributes", {});
-          break;
-        }
-        InvExtents& inv = inverses_[i];
-        auto by_seq = [](const InvEntry& a, const InvEntry& b) {
-          return a.seq < b.seq;
+        // NaiveCheck's four passes, each in its own order: set values
+        // that are no partner key (tau's, then tau''s), then claims the
+        // partner does not return (tau''s, then tau's).
+        dangling_values(ids.ext, ids.target, "inverse reference \"",
+                        "\" is not a " + c.ref_element + " key");
+        flush(i);
+        dangling_values(ids.ref_ext, ids.ref_target, "inverse reference \"",
+                        "\" is not a " + c.element + " key");
+        flush(i);
+        auto not_back = [&](size_t pairs, size_t key,
+                            const std::string& self) {
+          ForEachUnconfirmed(
+              log(pairs), log(key),
+              [&](const TupleLog::Record& claim, uint32_t holder) {
+                std::vector<std::string> ab = DecodeTuple(claim.payload);
+                pvs.push_back(PV{claim.seq, claim.rank,
+                                 "inverse missing: " + self + " \"" + ab[1] +
+                                     "\" references \"" + ab[0] +
+                                     "\" but not back",
+                                 {holder, claim.seq},
+                                 {ab[1]}});
+              });
+          flush(i);
         };
-        std::sort(inv.ext.begin(), inv.ext.end(), by_seq);
-        std::sort(inv.ref.begin(), inv.ref.end(), by_seq);
-        // key value -> entries, in extent (vertex) order. Views into the
-        // entries' key strings: stable, the vectors no longer move.
-        std::map<std::string_view, std::vector<size_t>> by_key, ref_by_key;
-        for (size_t k = 0; k < inv.ext.size(); ++k) {
-          if (inv.ext[k].has_key) {
-            by_key[inv.ext[k].key].push_back(k);
-          }
-        }
-        for (size_t k = 0; k < inv.ref.size(); ++k) {
-          if (inv.ref[k].has_key) {
-            ref_by_key[inv.ref[k].key].push_back(k);
-          }
-        }
-        auto contains = [](const std::vector<std::string>& set,
-                           const std::string& val) {
-          return std::binary_search(set.begin(), set.end(), val);
-        };
-        // Four passes, in NaiveCheck's exact emission order.
-        for (const InvEntry& x : inv.ext) {
-          if (full()) break;
-          if (!x.has_set) continue;
-          for (const std::string& val : x.set) {
-            if (ref_by_key.count(val) == 0) {
-              add(i, "inverse reference \"" + val + "\" is not a " +
-                         c.ref_element + " key",
-                  {x.seq}, {val});
-              if (full()) break;
-            }
-          }
-        }
-        for (const InvEntry& y : inv.ref) {
-          if (full()) break;
-          if (!y.has_set) continue;
-          for (const std::string& val : y.set) {
-            if (by_key.count(val) == 0) {
-              add(i, "inverse reference \"" + val + "\" is not a " +
-                         c.element + " key",
-                  {y.seq}, {val});
-              if (full()) break;
-            }
-          }
-        }
-        for (const InvEntry& y : inv.ref) {
-          if (full()) break;
-          if (!y.has_set || !y.has_key) continue;
-          for (const std::string& val : y.set) {
-            auto it = by_key.find(std::string_view(val));
-            if (it == by_key.end()) continue;
-            for (size_t xi : it->second) {
-              const InvEntry& x = inv.ext[xi];
-              if (!x.has_set || !contains(x.set, y.key)) {
-                add(i, "inverse missing: " + c.ref_element + " \"" + y.key +
-                           "\" references \"" + val + "\" but not back",
-                    {x.seq, y.seq}, {y.key});
-              }
-              if (full()) break;
-            }
-            if (full()) break;
-          }
-        }
-        for (const InvEntry& x : inv.ext) {
-          if (full()) break;
-          if (!x.has_set || !x.has_key) continue;
-          for (const std::string& val : x.set) {
-            auto it = ref_by_key.find(std::string_view(val));
-            if (it == ref_by_key.end()) continue;
-            for (size_t yi : it->second) {
-              const InvEntry& y = inv.ref[yi];
-              if (!y.has_set || !contains(y.set, x.key)) {
-                add(i, "inverse missing: " + c.element + " \"" + x.key +
-                           "\" references \"" + val + "\" but not back",
-                    {y.seq, x.seq}, {x.key});
-              }
-              if (full()) break;
-            }
-            if (full()) break;
-          }
-        }
+        not_back(ids.ref_pairs, ids.ref_target, c.ref_element);
+        not_back(ids.pairs, ids.target, c.element);
         break;
       }
     }
 
-    std::stable_sort(pvs.begin(), pvs.end(), [](const PV& a, const PV& b) {
-      if (a.seq != b.seq) return a.seq < b.seq;
-      return a.rank < b.rank;
-    });
-    for (PV& p : pvs) {
-      if (full()) break;
-      add(i, std::move(p.msg), std::move(p.wit), std::move(p.values));
+    if (missing != nullptr) {
+      for (uint32_t seq : logs_[ids.ext].missing) {
+        pvs.push_back(PV{seq, 0, missing, {seq}, {}});
+      }
     }
+    flush(i);
   }
 }
 

@@ -23,12 +23,11 @@
 //     post-pass turns sorted scans of those logs into the violation
 //     list: duplicate keys by group iteration, foreign keys by
 //     merge-join against the key's own log, document-wide IDs via a
-//     global ID log. Logs spill to disk past the
-//     shared budget, so memory stays bounded by the spill budget, not
-//     the extent sizes. (Exception: inverse constraints need random
-//     access to both extents and are evaluated in memory; documents
-//     whose *inverse-constrained* extents exceed memory are out of
-//     scope, as DESIGN.md records.)
+//     global ID log. An inverse joins each direction's set values
+//     against the partner's key log, as a set-valued foreign key does,
+//     and merges a log of (partner key, own key) pairs against it.
+//     Logs spill to disk past the shared budget, so memory stays
+//     bounded by the spill budget, not the extent sizes.
 //
 // Allocation discipline: per label or per run, never per element. What
 // a label needs (its automaton plan, constraint roles, ID attribute and
@@ -41,7 +40,7 @@
 // retained capacity is that of the largest element seen at its depth,
 // and peak memory stays O(open-element depth) as before. Per-element
 // heap traffic is left only where the output itself grows: extent logs
-// (amortized doubling), violations, and the in-memory inverse extents.
+// (amortized doubling) and violations.
 // tests/stream_alloc_test.cc pins the constant allocation count.
 //
 // Verdict parity: vertex ids equal the DOM parser's pre-order AddVertex

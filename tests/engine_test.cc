@@ -53,6 +53,14 @@ TEST(ParallelForTest, CurrentWorkerIsSetInsideWorkersOnly) {
   }
 }
 
+TEST(ParallelForTest, ReturnsTheWorkersThatRan) {
+  EXPECT_EQ(ParallelFor(16, 3, [](size_t) {}), 3u);
+  EXPECT_EQ(ParallelFor(4, 1000, [](size_t) {}), 4u);
+  // The inline path runs on the caller, which counts as one.
+  EXPECT_EQ(ParallelFor(1, 1000, [](size_t) {}), 1u);
+  EXPECT_EQ(ParallelFor(16, 0, [](size_t) {}), 1u);
+}
+
 // -- Batch validation corpus ------------------------------------------------
 
 DtdStructure CatalogDtd() {
@@ -148,6 +156,17 @@ TEST(BatchValidator, CountsDefectsInInputOrder) {
   EXPECT_GT(report.stats.structurally_invalid, 0u);
   EXPECT_GT(report.stats.constraint_violating, 0u);
   EXPECT_GT(report.stats.total_vertices, 0u);
+}
+
+TEST(BatchValidator, StatsReportTheWorkersThatRan) {
+  DtdStructure dtd = CatalogDtd();
+  ConstraintSet sigma = CatalogSigma();
+  BatchValidator validator(dtd, sigma, Threads(16));
+  BatchReport report = validator.Run(MakeCorpus(3));
+  EXPECT_EQ(report.stats.threads, 3u);
+  EXPECT_NE(report.stats.ToString().find(" on 3 thread(s)\n"),
+            std::string::npos)
+      << report.stats.ToString();
 }
 
 TEST(BatchValidator, ParallelReportIsByteIdenticalToSequential) {

@@ -6,7 +6,8 @@
 // scan here is compared with std::stable_sort over (payload bytes as
 // unsigned, seq, rank), at a budget that never spills (0), one that
 // spills on every append (1) and one in between (4 KiB), and at 1 MiB,
-// whose batches outgrow the spill write buffer.
+// whose batches outgrow the spill write buffer. FirstField's cases pin
+// the grouping of a 2-tuple log that the inverse check relies on.
 
 #include <gtest/gtest.h>
 
@@ -208,6 +209,56 @@ TEST(TupleLogOrder, LogsSharingABudgetKeepTheirOwnOrder) {
   EXPECT_GT(budget.spill_runs(), 2u);
   EXPECT_EQ(ScanAll(a), Reference(ra));
   EXPECT_EQ(ScanAll(b), Reference(rb));
+}
+
+std::string Encoded(std::vector<std::string_view> values) {
+  std::string out;
+  EncodeTupleInto(values, &out);
+  return out;
+}
+
+TEST(FirstField, CutsTheFirstEncodedField) {
+  EXPECT_EQ(FirstField(Encoded({"abc", "xy"})), "3:abc");
+  EXPECT_EQ(FirstField(Encoded({"", "xy"})), "0:");
+  EXPECT_EQ(FirstField(Encoded({"a:b", ""})), "3:a:b");
+  EXPECT_EQ(FirstField(Encoded({"abcdefghij", "9"})), "10:abcdefghij");
+}
+
+TEST(FirstField, PairLogGroupsInKeyLogOrder) {
+  // Encoded lengths compare bytewise: "10:" sorts before "9:", so a
+  // 10-byte value precedes a 9-byte one in both logs. A log of 2-tuples
+  // must scan grouped by first field, in the key log's order, at any
+  // budget: the inverse check walks the two in step.
+  const std::vector<std::string> firsts = {"abcdefghi", "abcdefghij", "b",
+                                           "",          "abcdefghi0", "9"};
+  const std::vector<std::string> seconds = {"", "x", "abcdefghij", "9:"};
+  for (size_t budget_bytes : {size_t{0}, size_t{1}, size_t{4096}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget_bytes));
+    SpillBudget budget(budget_bytes);
+    TupleLog keys(&budget), pairs(&budget);
+    for (uint32_t seq = 0; seq < firsts.size(); ++seq) {
+      ASSERT_TRUE(keys.Append(seq, 0, Encoded({firsts[seq]})).ok());
+      for (const std::string& b : seconds) {
+        ASSERT_TRUE(pairs.Append(seq, 0, Encoded({firsts[seq], b})).ok());
+      }
+    }
+    ASSERT_TRUE(keys.Finish().ok());
+    ASSERT_TRUE(pairs.Finish().ok());
+    std::vector<std::string> key_order, group_order;
+    for (const Rec& r : ScanAll(keys)) key_order.push_back(r.payload);
+    for (const Rec& r : ScanAll(pairs)) {
+      const std::string first(FirstField(r.payload));
+      EXPECT_EQ(first, Encoded({firsts[r.seq]}));
+      if (group_order.empty() || group_order.back() != first) {
+        group_order.push_back(first);
+      }
+    }
+    EXPECT_EQ(group_order, key_order);
+    EXPECT_EQ(key_order,
+              (std::vector<std::string>{"0:", "10:abcdefghi0",
+                                        "10:abcdefghij", "1:9", "1:b",
+                                        "9:abcdefghi"}));
+  }
 }
 
 TEST(TupleLogSpill, RunsLargerThanTheWriteBufferSpillWhole) {

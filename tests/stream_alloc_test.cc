@@ -7,8 +7,9 @@
 // references in attribute values and comments in content -- first
 // through StreamTokenizer alone, then through StreamValidator::Run, each
 // both read in place (StringSource) and through the tokenizer's sliding
-// window (ChunkedSource, the path files and sockets take). The larger
-// document may cost only a few more buffer doublings.
+// window (ChunkedSource, the path files and sockets take). The validator
+// also runs an L_id person/dept document under an inverse constraint.
+// The larger document may cost only a few more buffer doublings.
 
 #include <gtest/gtest.h>
 
@@ -88,6 +89,41 @@ std::string Catalog(size_t elements) {
   return doc;
 }
 
+const char* const kPersonDeptSchema =
+    "<!ELEMENT db (person*, dept*)>\n"
+    "<!ELEMENT person EMPTY>\n"
+    "<!ATTLIST person oid ID #REQUIRED in_dept IDREFS #REQUIRED>\n"
+    "<!ELEMENT dept EMPTY>\n"
+    "<!ATTLIST dept oid ID #REQUIRED has_staff IDREFS #REQUIRED>\n"
+    "<!-- xic:constraints language=L_id\n"
+    "id person.oid\n"
+    "id dept.oid\n"
+    "sfk person.in_dept -> dept.oid\n"
+    "sfk dept.has_staff -> person.oid\n"
+    "inverse person.in_dept <-> dept.has_staff\n"
+    "-->\n";
+
+// A valid person/dept document of at least `elements` elements: ten
+// persons per dept, each listed by its dept's has_staff.
+std::string PersonDept(size_t elements) {
+  const size_t depts = elements / 11 + 1;
+  const size_t persons = depts * 10;
+  std::string doc =
+      std::string("<!DOCTYPE db [\n") + kPersonDeptSchema + "]>\n<db>\n";
+  for (size_t p = 0; p < persons; ++p) {
+    doc += "<person oid=\"p" + std::to_string(p) + "\" in_dept=\"d" +
+           std::to_string(p % depts) + "\"/>\n";
+  }
+  for (size_t d = 0; d < depts; ++d) {
+    doc += "<dept oid=\"d" + std::to_string(d) + "\" has_staff=\"";
+    for (size_t p = d; p < persons; p += depts) {
+      doc += (p == d ? "p" : " p") + std::to_string(p);
+    }
+    doc += "\"/>\n";
+  }
+  return doc + "</db>\n";
+}
+
 // Calls f(source) with `doc` read in place or, when `windowed`, served
 // in reads that do not line up with the window.
 template <typename F>
@@ -156,27 +192,36 @@ TEST(StreamAlloc, TokenizerAllocationsDoNotGrowWithElements) {
 }
 
 TEST(StreamAlloc, ValidatorAllocationsDoNotGrowWithElements) {
-  Result<DtdC> schema = ParseDtdC(kSchema, "catalog");
-  ASSERT_TRUE(schema.ok()) << schema.status();
-  ASSERT_TRUE(schema.value().sigma.has_value());
-  StreamValidator validator(schema.value().dtd, *schema.value().sigma);
-  ASSERT_TRUE(validator.status().ok()) << validator.status();
+  struct Case {
+    const char* schema;
+    const char* root;
+    std::string (*generate)(size_t elements);
+  };
+  for (const Case& c : {Case{kSchema, "catalog", Catalog},
+                        Case{kPersonDeptSchema, "db", PersonDept}}) {
+    SCOPED_TRACE(c.root);
+    Result<DtdC> schema = ParseDtdC(c.schema, c.root);
+    ASSERT_TRUE(schema.ok()) << schema.status();
+    ASSERT_TRUE(schema.value().sigma.has_value());
+    StreamValidator validator(schema.value().dtd, *schema.value().sigma);
+    ASSERT_TRUE(validator.status().ok()) << validator.status();
 
-  const std::string small = Catalog(10000);
-  const std::string large = Catalog(100000);
-  for (bool windowed : {false, true}) {
-    SCOPED_TRACE(windowed ? "windowed" : "in place");
-    size_t small_vertices = 0, large_vertices = 0;
-    const size_t small_allocs =
-        ValidatorAllocations(validator, small, windowed, &small_vertices);
-    const size_t large_allocs =
-        ValidatorAllocations(validator, large, windowed, &large_vertices);
-    ASSERT_GE(small_vertices, 10000u);
-    ASSERT_GE(large_vertices, 100000u);
-    EXPECT_LE(large_allocs, small_allocs + kMaxExtraAllocations)
-        << small_vertices << " vertices: " << small_allocs
-        << " allocations; " << large_vertices
-        << " vertices: " << large_allocs;
+    const std::string small = c.generate(10000);
+    const std::string large = c.generate(100000);
+    for (bool windowed : {false, true}) {
+      SCOPED_TRACE(windowed ? "windowed" : "in place");
+      size_t small_vertices = 0, large_vertices = 0;
+      const size_t small_allocs =
+          ValidatorAllocations(validator, small, windowed, &small_vertices);
+      const size_t large_allocs =
+          ValidatorAllocations(validator, large, windowed, &large_vertices);
+      ASSERT_GE(small_vertices, 10000u);
+      ASSERT_GE(large_vertices, 100000u);
+      EXPECT_LE(large_allocs, small_allocs + kMaxExtraAllocations)
+          << small_vertices << " vertices: " << small_allocs
+          << " allocations; " << large_vertices
+          << " vertices: " << large_allocs;
+    }
   }
 }
 

@@ -499,10 +499,11 @@ std::string Render(const ConstraintReport& report) {
   return out;
 }
 
-// Checks `text` all three ways at `max_violations`; returns NaiveCheck's
-// violation count.
-size_t ExpectSharedExtentParity(const std::string& text, size_t records,
-                                size_t max_violations = 0) {
+// Checks `text` through the tree feed and the text feed at each spill
+// budget, at `max_violations`; returns NaiveCheck's violation count.
+size_t ExpectSharedExtentParity(
+    const std::string& text, size_t records, size_t max_violations = 0,
+    std::vector<size_t> budgets = {0, 1, 4096}) {
   Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);
   EXPECT_TRUE(parsed.ok()) << parsed.status();
   if (!parsed.ok()) return 0;
@@ -521,7 +522,7 @@ size_t ExpectSharedExtentParity(const std::string& text, size_t records,
   EXPECT_EQ(Render(from_tree.constraints), naive) << "tree feed";
   EXPECT_EQ(from_tree.stats.extent_records, records) << "tree feed";
 
-  for (size_t budget : {size_t{0}, size_t{1}, size_t{4096}}) {
+  for (size_t budget : budgets) {
     options.spill_budget_bytes = budget;
     StringSource source(text);
     SelfDescribingStreamResult s = StreamValidateSelfDescribing(source, options);
@@ -678,6 +679,103 @@ TEST(SharedExtent, TruncationAcrossConstraintsThatShareALog) {
   ASSERT_GT(total, 20u);
   for (size_t cap = 1; cap <= total + 1; ++cap) {
     EXPECT_EQ(ExpectSharedExtentParity(text, records, cap),
+              std::min(cap, total))
+        << "max_violations " << cap;
+  }
+}
+
+// -- Inverse constraints ---------------------------------------------------
+//
+// An inverse reads each direction as a set-valued foreign key into the
+// partner's key log plus one pair log (ConstraintPlan::ConstraintLogs),
+// all spillable. This document trips all four of NaiveCheck's passes in
+// each direction: p <-> d across two types, and f <-> f on one.
+//   p1 claims d1, which two d vertices hold; only d4 lists p1.
+//   p2 claims "dX", no d key; d1 claims "pY", no p key.
+//   p3 and d5 lack a key, p4 and d6 a set; d2 lists p4, p7 claims d6.
+//   p5 and p6 share key "p5": d2 and d3 each list it, and each holder
+//   claims only one of them.
+//   f0 and f4 share key "f0"; f0 lists itself, f4 does not list f0.
+//   f2 claims "fZ", no f key, and does not return f1's claim.
+//   p8 claims d9 and d10, whose sets (one empty) do not return it: its
+//   set order ("d10" < "d9") is not its encoded order ("2:d9" first).
+std::string InverseDocument() {
+  return "<!DOCTYPE db [\n"
+         "<!ELEMENT db (p | d | f)*>\n"
+         "<!ELEMENT p EMPTY>\n"
+         "<!ATTLIST p k CDATA #IMPLIED in NMTOKENS #IMPLIED>\n"
+         "<!ELEMENT d EMPTY>\n"
+         "<!ATTLIST d k CDATA #IMPLIED has NMTOKENS #IMPLIED>\n"
+         "<!ELEMENT f EMPTY>\n"
+         "<!ATTLIST f k CDATA #IMPLIED friends NMTOKENS #IMPLIED>\n"
+         "<!-- xic:constraints language=L_u\n"
+         "  key p.k\n"
+         "  key d.k\n"
+         "  key f.k\n"
+         "  inverse p(k).in <-> d(k).has\n"
+         "  inverse f(k).friends <-> f(k).friends\n"
+         "-->\n"
+         "]>\n"
+         "<db>\n"
+         "<p k=\"p0\" in=\"d0\"/><p k=\"p1\" in=\"d0 d1\"/>\n"
+         "<d k=\"d0\" has=\"p0 p1\"/><d k=\"d1\" has=\"p2 pY\"/>\n"
+         "<p k=\"p2\" in=\"dX d1\"/><p in=\"d1\"/><p k=\"p4\"/>\n"
+         "<f k=\"f0\" friends=\"f1 f0\"/><f k=\"f1\" friends=\"f0 f2\"/>\n"
+         "<p k=\"p5\" in=\"d2\"/><p k=\"p5\" in=\"d3\"/>\n"
+         "<d k=\"d2\" has=\"p4 p5\"/><d k=\"d3\" has=\"p5\"/>\n"
+         "<f k=\"f2\" friends=\"fZ\"/><f friends=\"f0\"/>\n"
+         "<d k=\"d1\" has=\"p1\"/><d has=\"p0\"/><d k=\"d6\"/>\n"
+         "<p k=\"p7\" in=\"d6\"/><f k=\"f0\" friends=\"f1\"/>\n"
+         "<p k=\"p8\" in=\"d9 d10\"/><d k=\"d9\" has=\"p0\"/>"
+         "<d k=\"d10\" has=\"\"/>\n"
+         "</db>\n";
+}
+
+// p <-> d: 11 p.in and 10 d.has values, 8 p and 8 d keys (the keys'
+// logs), and two pair logs of 10 + 9 (members of a set whose vertex has
+// a key). f <-> f shares one values log (7) and one key log (4) between
+// its directions; its two pair logs hold 6 + 6 each.
+constexpr size_t kInverseRecords =
+    11 + 10 + 8 + 8 + 2 * 19 + 7 + 4 + 2 * 12;
+// The document's logs fit 4 KiB; budget 1 spills every record.
+const std::vector<size_t> kInverseBudgets = {0, 1};
+
+TEST(InverseExtent, EveryPassMatchesNaiveCheck) {
+  const std::string text = InverseDocument();
+  const size_t total =
+      ExpectSharedExtentParity(text, kInverseRecords, 0, kInverseBudgets);
+  Result<SelfDescribingDocument> parsed = ParseDocumentWithDtdC(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const std::string naive =
+      NaiveCheck(*parsed.value().document.dtd, *parsed.value().sigma,
+                 parsed.value().document.tree)
+          .ToString(*parsed.value().sigma);
+  EXPECT_EQ(static_cast<size_t>(std::count(naive.begin(), naive.end(), '\n')),
+            total);
+  // Each pass of each constraint reports something.
+  for (const char* pass :
+       {"\"dX\" is not a d key", "\"pY\" is not a p key",
+        "\"fZ\" is not a f key", "missing: d \"d2\" references \"p4\"",
+        "missing: d \"d3\" references \"p5\"",
+        "missing: p \"p1\" references \"d1\"",
+        "missing: p \"p2\" references \"d1\"",
+        "missing: p \"p7\" references \"d6\"",
+        "missing: p \"p8\" references \"d10\"",
+        "missing: d \"d9\" references \"p0\"",
+        "missing: f \"f1\" references \"f2\"",
+        "missing: f \"f0\" references \"f0\""}) {
+    EXPECT_NE(naive.find(pass), std::string::npos) << pass << "\n" << naive;
+  }
+}
+
+TEST(InverseExtent, TruncationLandsInEveryPass) {
+  const std::string text = InverseDocument();
+  const size_t total =
+      ExpectSharedExtentParity(text, kInverseRecords, 0, kInverseBudgets);
+  ASSERT_GT(total, 10u);
+  for (size_t cap = 1; cap <= total + 1; ++cap) {
+    EXPECT_EQ(
+        ExpectSharedExtentParity(text, kInverseRecords, cap, kInverseBudgets),
               std::min(cap, total))
         << "max_violations " << cap;
   }
