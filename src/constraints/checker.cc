@@ -100,6 +100,7 @@ ConstraintPlan::ConstraintPlan(const DtdStructure& d, const ConstraintSet& s)
                  {keys.key, c.attr()});
         add_role(c.ref_element, Role::kBackPairs, logs[i].pairs,
                  {keys.ref_key, c.ref_attr()});
+        if (SelfInverse(i)) break;
         logs[i].ref_pairs = log_count++;
         add_role(c.ref_element, Role::kRefPairs, logs[i].ref_pairs,
                  {keys.ref_key, c.ref_attr()});
@@ -109,6 +110,14 @@ ConstraintPlan::ConstraintPlan(const DtdStructure& d, const ConstraintSet& s)
       }
     }
   }
+}
+
+bool ConstraintPlan::SelfInverse(size_t i) const {
+  const Constraint& c = sigma.constraints[i];
+  return c.kind == ConstraintKind::kInverse && c.element == c.ref_element &&
+         !c.attrs.empty() && !c.ref_attrs.empty() &&
+         c.attr() == c.ref_attr() &&
+         inverse_keys[i].key == inverse_keys[i].ref_key;
 }
 
 ConstraintChecker::ConstraintChecker(const DtdStructure& dtd,
@@ -426,7 +435,12 @@ ConstraintReport NaiveCheck(const DtdStructure& dtd,
           }
           if (full()) break;
         }
-        for (VertexId y : ref_ext) {
+        // tau.l <-> tau.l: tau''s passes would repeat tau's, so they run
+        // over no vertices.
+        const std::vector<VertexId> none;
+        const std::vector<VertexId>& ref_sources =
+            plan.SelfInverse(i) ? none : ref_ext;
+        for (VertexId y : ref_sources) {
           const AttrValue* yl = field_ptr(y, ref_attr_syms[0], c.ref_attr());
           if (yl == nullptr) continue;
           for (const std::string& val : *yl) {
@@ -440,7 +454,7 @@ ConstraintReport NaiveCheck(const DtdStructure& dtd,
           if (full()) break;
         }
         // Direction 1: x.lk in y.l'  ==>  y.lk' in x.l.
-        for (VertexId y : ref_ext) {
+        for (VertexId y : ref_sources) {
           const AttrValue* yl2 = field_ptr(y, ref_attr_syms[0], c.ref_attr());
           std::optional<std::string_view> ykey = single(y, lk2_sym, lk2);
           if (yl2 == nullptr || !ykey.has_value()) continue;

@@ -119,6 +119,11 @@ struct ConstraintPlan {
     std::string key, ref_key;
   };
 
+  /// Constraint `i` is an inverse tau(k).l <-> tau(k).l whose two sides
+  /// coincide: its two directions are one check, so NaiveCheck and the
+  /// engine run (and the plan logs) only one of them.
+  bool SelfInverse(size_t i) const;
+
   /// The extent logs one constraint reads, by log id: ext(tau) for keys,
   /// IDs and foreign-key sources; ext(tau') for foreign-key targets. A
   /// key, an ID and every foreign key into the same (type, ordered field
@@ -126,7 +131,8 @@ struct ConstraintPlan {
   /// once. kNoLog where the constraint reads no such log. An inverse
   /// reads tau.l's values (`ext`) against tau''s key (`target`) and the
   /// (tau' key, tau key) pairs tau claims and tau' confirms (`pairs`);
-  /// the `ref_` logs are the same for tau'.l' against tau's key.
+  /// the `ref_` logs are the same for tau'.l' against tau's key (a
+  /// SelfInverse reads the same logs and needs no `ref_pairs`).
   static constexpr size_t kNoLog = static_cast<size_t>(-1);
   struct ConstraintLogs {
     size_t ext = kNoLog;

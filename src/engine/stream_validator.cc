@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "constraints/well_formed.h"
@@ -179,7 +180,9 @@ class StreamRun {
     LabelInfo* info = nullptr;
     bool track_word = false;  // automaton run + word buffer live
     GlushkovAutomaton::RunState run;
-    std::vector<Symbol> word;  // kInvalidSymbol marks a text child
+    // The children's labels as (label, count) runs, expanded only to
+    // render a content-model violation; kInvalidSymbol marks text.
+    std::vector<std::pair<Symbol, uint32_t>> word;
     // The first tplan->fields.size() entries are this element's fields;
     // any beyond are spare capacity left by earlier occupants.
     std::vector<FieldState> fields;
@@ -229,6 +232,13 @@ class StreamRun {
   void CheckStartTag(uint32_t seq, Symbol label, const LabelInfo& info);
   void StepParent(Symbol label);
   void StepText();
+  static void PushChild(Frame* frame, Symbol s) {
+    if (!frame->word.empty() && frame->word.back().first == s) {
+      ++frame->word.back().second;
+    } else {
+      frame->word.emplace_back(s, 1);
+    }
+  }
   void OpenFrame(uint32_t seq, Symbol label, LabelInfo& info);
   void OnEnd();
   void OnText(const StreamEvent& ev);
@@ -392,7 +402,7 @@ void StreamRun::OnText(const StreamEvent& ev) {
 void StreamRun::StepText() {
   Frame& top = Top();
   if (top.track_word) {
-    top.word.push_back(kInvalidSymbol);
+    PushChild(&top, kInvalidSymbol);
     top.info->plan->automaton->Step(&top.run, top.info->text_alpha);
   }
 }
@@ -401,7 +411,7 @@ void StreamRun::StepParent(Symbol label) {
   if (depth_ == 0) return;
   Frame& parent = Top();
   if (parent.track_word) {
-    parent.word.push_back(label);
+    PushChild(&parent, label);
     parent.info->plan->automaton->Step(&parent.run,
                                        AlphaOf(*parent.info, label));
   }
@@ -577,10 +587,10 @@ void StreamRun::OnEnd() {
   const Frame& frame = frames_[--depth_];
   if (frame.track_word && !frame.info->plan->automaton->Accepts(frame.run)) {
     std::vector<std::string> rendered;
-    rendered.reserve(frame.word.size());
-    for (Symbol s : frame.word) {
-      rendered.push_back(s == kInvalidSymbol ? std::string(kStringSymbol)
-                                             : names_->name(s));
+    for (const auto& [s, count] : frame.word) {
+      rendered.insert(rendered.end(), count,
+                      s == kInvalidSymbol ? std::string(kStringSymbol)
+                                          : names_->name(s));
     }
     AddSViol(frame.seq, Rank(2, 0),
              "children [" + Join(rendered, " ") +
@@ -964,13 +974,18 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
       case ConstraintKind::kInverse: {
         // NaiveCheck's four passes, each in its own order: set values
         // that are no partner key (tau's, then tau''s), then claims the
-        // partner does not return (tau''s, then tau's).
+        // partner does not return (tau''s, then tau's). A self-inverse
+        // runs only tau's passes.
+        const bool self_inverse = plan_.SelfInverse(i);
         dangling_values(ids.ext, ids.target, "inverse reference \"",
                         "\" is not a " + c.ref_element + " key");
         flush(i);
-        dangling_values(ids.ref_ext, ids.ref_target, "inverse reference \"",
-                        "\" is not a " + c.element + " key");
-        flush(i);
+        if (!self_inverse) {
+          dangling_values(ids.ref_ext, ids.ref_target,
+                          "inverse reference \"",
+                          "\" is not a " + c.element + " key");
+          flush(i);
+        }
         auto not_back = [&](size_t pairs, size_t key,
                             const std::string& self) {
           ForEachUnconfirmed(
@@ -986,7 +1001,9 @@ void StreamRun::AssembleConstraints(ConstraintReport* report) {
               });
           flush(i);
         };
-        not_back(ids.ref_pairs, ids.ref_target, c.ref_element);
+        if (!self_inverse) {
+          not_back(ids.ref_pairs, ids.ref_target, c.ref_element);
+        }
         not_back(ids.pairs, ids.target, c.element);
         break;
       }

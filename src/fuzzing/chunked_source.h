@@ -1,9 +1,10 @@
 // A ByteSource over an in-memory string that hides its contiguity. It
 // serves at most `max_read` bytes per Read() and offers no Contiguous(),
 // so the tokenizer reads it through its sliding window -- refills,
-// compaction, pinned growth and lazy line counting -- as it reads files
-// and sockets. Differential tests and the stream oracle run it against
-// the in-place path (StringSource) to keep both under test.
+// compaction, growth past the largest token and lazy line counting -- as
+// it reads files and sockets. Differential tests and the stream oracle
+// run it against the in-place path (StringSource) to keep both under
+// test.
 
 #ifndef XIC_FUZZING_CHUNKED_SOURCE_H_
 #define XIC_FUZZING_CHUNKED_SOURCE_H_

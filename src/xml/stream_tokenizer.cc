@@ -137,23 +137,18 @@ StreamTokenizer::StreamTokenizer(ByteSource& source,
   buf_ = window_.data();
 }
 
-Status StreamTokenizer::Fill() {
+Status StreamTokenizer::Fill(uint64_t pin) {
   // After EOF there is nothing to make room for; in place, eof_ is set
   // from the start, so the source's bytes are never moved.
   if (eof_) return Status::OK();
-  if (start_ > 0) {
-    CountLinesTo(base_ + start_);  // the bytes about to be dropped
-    std::memmove(window_.data(), window_.data() + start_, end_ - start_);
-    base_ += start_;
-    end_ -= start_;
-    start_ = 0;
+  if (const size_t drop = static_cast<size_t>(pin - base_); drop > 0) {
+    CountLinesTo(pin);  // the bytes about to be dropped
+    std::memmove(window_.data(), window_.data() + drop, end_ - drop);
+    base_ = pin;
+    start_ -= drop;
+    end_ -= drop;
   }
-  return FillPinned();
-}
-
-Status StreamTokenizer::FillPinned() {
-  if (eof_) return Status::OK();
-  if (end_ == window_.size()) {
+  if (end_ == window_.size()) {  // the pinned bytes alone fill the window
     window_.resize(window_.size() * 2);
     buf_ = window_.data();
   }
@@ -221,12 +216,12 @@ Status StreamTokenizer::Error(std::string_view what) {
 // ---------------------------------------------------------------------------
 // Shared scanners
 
-Status StreamTokenizer::ScanNamePinned(size_t* len) {
+Status StreamTokenizer::ScanName(size_t* len) {
   size_t n = 0;
   while (true) {
     n = NameLength(buf_ + start_, available(), n);
     if (n < available() || eof_) break;
-    XIC_RETURN_IF_ERROR(FillPinned());  // the name may go on
+    XIC_RETURN_IF_ERROR(Fill());  // the name may go on
   }
   *len = n;
   return Status::OK();
@@ -315,11 +310,11 @@ void StreamTokenizer::EmitText(StreamEvent* event) {
   text_all_space_ = true;
 }
 
-Status StreamTokenizer::ParseReference(std::string* out) {
+Status StreamTokenizer::ParseReference(uint64_t pin, std::string* out) {
   // The ';' must lie within 12 bytes of the '&' or the reference is
   // malformed (reported at the '&').
   while (available() < 14 && !eof_) {
-    XIC_RETURN_IF_ERROR(FillPinned());
+    XIC_RETURN_IF_ERROR(Fill(pin));
   }
   std::string_view hay(buf_ + start_, std::min<size_t>(available(), 14));
   size_t semi = hay.find(';');
@@ -463,7 +458,7 @@ Status StreamTokenizer::ParseDoctype(StreamEvent* event) {
   Consume(9);  // "<!DOCTYPE"
   XIC_RETURN_IF_ERROR(SkipSpace());
   size_t n = 0;
-  XIC_RETURN_IF_ERROR(ScanNamePinned(&n));
+  XIC_RETURN_IF_ERROR(ScanName(&n));
   if (n == 0) return Error("expected name");
   doctype_name_.assign(buf_ + start_, n);
   Consume(n);
@@ -662,7 +657,7 @@ Status StreamTokenizer::NextContent(StreamEvent* event) {
     }
     if (c == '&') {
       std::string expanded;
-      XIC_RETURN_IF_ERROR(ParseReference(&expanded));
+      XIC_RETURN_IF_ERROR(ParseReference(base_ + start_, &expanded));
       AppendTextRun(expanded.data(), expanded.size());
     } else if (c == ']' && Peek("]]>")) {
       // XML 1.0 section 2.4: "]]>" must not appear in content except as
@@ -701,10 +696,15 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
   size_t have = 0;
   XIC_RETURN_IF_ERROR(Ensure(1, &have));
   if (have == 0 || at(0) != '<') return Error("expected '<'");
+  // The tag's '<' pins the window until the event is built: every refill
+  // below keeps it, and the name and attribute offsets count from it, so
+  // they survive the compaction a refill does.
+  const uint64_t tag = base_ + start_;
+  auto here = [&] { return static_cast<size_t>(base_ + start_ - tag); };
+  auto tag_at = [&](size_t off) { return buf_ + (tag - base_) + off; };
   // Prescan: buffer the whole tag (through the '>' outside quoted
-  // values) so the scan below never runs out of bytes and every offset
-  // stays stable -- FillPinned grows the buffer without compacting. At
-  // EOF (always, in place) the buffer already holds all there is.
+  // values) so the scan below never runs out of bytes. At EOF (always,
+  // in place) the buffer already holds all there is.
   for (size_t i = 1; !eof_;) {
     const char* p = buf_ + start_;
     const size_t n = available();
@@ -718,12 +718,12 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
       ++i;
     }
     if (i < n && p[i] == '>') break;
-    XIC_RETURN_IF_ERROR(FillPinned());
+    XIC_RETURN_IF_ERROR(Fill());  // the cursor is still on the '<'
   }
   Consume(1);  // '<'
-  // Element name: offsets into buf_, materialized as views at the end (a
-  // reference near the tag's end may still grow, and move, the window).
-  size_t name_off = start_;
+  // Element name: offsets from the '<', materialized as views at the end
+  // (a reference near the tag's end may still refill the window).
+  const size_t name_off = here();
   size_t name_len = NameLength(buf_ + start_, available());
   if (name_len == 0) return Error("expected name");
   Consume(name_len);
@@ -748,7 +748,7 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
     while (n < available() && at(n) != quote && !Is(at(n), kValueStop)) ++n;
     if (n < available() && at(n) == quote) {
       attr->from_store = false;
-      attr->value_off_or_index = start_;
+      attr->value_off_or_index = here();
       attr->value_len = n;
       Consume(n + 1);
       return Status::OK();
@@ -764,7 +764,7 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
         // Characters that come in via references escape normalization
         // (Section 3.3.3), so &#10; stays a literal newline.
         std::string expanded;
-        XIC_RETURN_IF_ERROR(ParseReference(&expanded));
+        XIC_RETURN_IF_ERROR(ParseReference(tag, &expanded));
         out += expanded;
       } else if (c == '<') {
         return Error("'<' not allowed in attribute value");
@@ -777,7 +777,7 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
         // \r\n is one line end (Section 2.11), hence one space.
         out += ' ';
         Consume(1);
-        if (available() == 0 && !eof_) XIC_RETURN_IF_ERROR(FillPinned());
+        if (available() == 0 && !eof_) XIC_RETURN_IF_ERROR(Fill(tag));
         if (available() > 0 && at(0) == '\n') Consume(1);
       } else {
         out += c;
@@ -810,10 +810,10 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
         ++num_attrs, options_.limits.max_attributes_per_element,
         "max_attributes_per_element",
         [&] {
-          return "attributes on element " + std::string(buf_ + name_off,
+          return "attributes on element " + std::string(tag_at(name_off),
                                                         name_len);
         }));
-    size_t aoff = start_;
+    size_t aoff = here();
     size_t alen = NameLength(buf_ + start_, available());
     if (alen == 0) return Error("expected name");
     Consume(alen);
@@ -827,18 +827,17 @@ Status StreamTokenizer::ParseStartTag(StreamEvent* event) {
     XIC_RETURN_IF_ERROR(parse_quoted(&attr));
     raw_attrs_.push_back(attr);
   }
-  // Materialize views (offsets are stable: no compaction happened since
-  // the prescan). A repeated attribute name keeps the last value in the
-  // first-seen position -- DataTree::SetAttribute semantics.
-  const std::string_view name(buf_ + name_off, name_len);
+  // Materialize views. A repeated attribute name keeps the last value in
+  // the first-seen position -- DataTree::SetAttribute semantics.
+  const std::string_view name(tag_at(name_off), name_len);
   event->kind = StreamEventKind::kStartElement;
   event->name = name;
   for (const RawAttr& raw : raw_attrs_) {
-    std::string_view aname(buf_ + raw.name_off, raw.name_len);
+    std::string_view aname(tag_at(raw.name_off), raw.name_len);
     std::string_view avalue =
         raw.from_store
             ? std::string_view(attr_store_[raw.value_off_or_index])
-            : std::string_view(buf_ + raw.value_off_or_index,
+            : std::string_view(tag_at(raw.value_off_or_index),
                                raw.value_len);
     bool replaced = false;
     for (StreamEvent::Attr& existing : event->attrs) {
@@ -866,7 +865,7 @@ void StreamTokenizer::EmitEndElement(StreamEvent* event) {
 Status StreamTokenizer::ParseEndTag(StreamEvent* event) {
   Consume(2);  // "</"
   size_t n = 0;
-  XIC_RETURN_IF_ERROR(ScanNamePinned(&n));
+  XIC_RETURN_IF_ERROR(ScanName(&n));
   if (n == 0) return Error("expected name");
   std::string_view close(buf_ + start_, n);
   Consume(n);

@@ -16,12 +16,13 @@
 //     and attribute values that need no normalization are views into it.
 //   * Windowed: any other source (files, sockets) is read through a
 //     sliding byte buffer that holds only the construct currently being
-//     tokenized: start tags, end tags and the DOCTYPE are buffered whole
-//     (they are small), while text runs, CDATA sections, comments and PIs
-//     stream through in bounded chunks. Peak memory is O(open-element
-//     depth + largest single tag + chunk size), independent of document
-//     size. The first window is two chunks, or the input's size plus
-//     slack when the source knows it and that is smaller.
+//     tokenized: a start tag is buffered whole, names and references up
+//     to their end, while text runs, CDATA sections, comments, PIs and
+//     the DOCTYPE's subset stream through in bounded chunks. The first
+//     window is two chunks, or the input's size plus slack when the
+//     source knows it and that is smaller; it doubles only when one
+//     token fills it, so it never exceeds max(2 x chunk_bytes, 2 x
+//     largest token), independent of document size.
 // Line numbers are counted lazily, in bulk: when the window compacts and
 // when a position is recorded for an error.
 //
@@ -97,7 +98,8 @@ class StringSource : public ByteSource {
   size_t pos_ = 0;
 };
 
-/// Reads a file in chunks; never holds more than one read's worth.
+/// Reads a file in chunks straight into the caller's buffer; never holds
+/// more than one read's worth.
 class FileSource : public ByteSource {
  public:
   /// Opens `path`; kInvalidArgument with the errno detail on failure.
@@ -188,12 +190,16 @@ class StreamTokenizer {
   // -- Buffer management ----------------------------------------------------
   // buf_[start_, end_) is unread input; base_ counts bytes consumed
   // before buf_[0]. buf_ points at window_ (windowed) or at the source's
-  // own bytes (in place; eof_ is set from the start, so neither Fill
-  // touches the buffer). Fill() reads more (compacting first),
-  // FillPinned() grows without compacting so offsets stay stable while
-  // one construct (tag / DOCTYPE) is being scanned.
-  Status Fill();
-  Status FillPinned();
+  // own bytes (in place; eof_ is set from the start, so Fill never
+  // touches the buffer). Fill(pin) is the only refill: it drops every
+  // byte before the absolute offset `pin` -- the first byte the construct
+  // being parsed still references: a start tag's '<' inside
+  // ParseStartTag, the cursor everywhere else -- and then reads. The
+  // window doubles only when the pinned bytes alone fill it, i.e. one
+  // token is larger than the window, so it stays within
+  // max(2 x chunk_bytes, 2 x largest token).
+  Status Fill(uint64_t pin);
+  Status Fill() { return Fill(base_ + start_); }
   /// Makes >= want bytes available if the input has them; sets *have to
   /// the available count (may be < want at EOF).
   Status Ensure(size_t want, size_t* have) {
@@ -227,8 +233,8 @@ class StreamTokenizer {
   Status SkipMisc();
   Status SkipSpace();
   /// Sets *len to the length of the name at the cursor (0 if none),
-  /// growing the buffer without compacting until the name ends.
-  Status ScanNamePinned(size_t* len);
+  /// refilling until the name ends.
+  Status ScanName(size_t* len);
   /// True when positioned on "<?xml" with a complete reserved target
   /// (may Fill to see the byte after the target).
   Result<bool> PeekXmlDecl();
@@ -241,8 +247,9 @@ class StreamTokenizer {
   /// Streams CDATA content into text_buf_ until "]]>"; sets *emitted
   /// when a full chunk was flushed into `event` mid-section.
   Status ScanCdata(StreamEvent* event, bool* emitted);
-  /// Expands "&...;" at the cursor.
-  Status ParseReference(std::string* out);
+  /// Expands "&...;" at the cursor; refills keep the bytes from `pin`
+  /// (at most the cursor) on.
+  Status ParseReference(uint64_t pin, std::string* out);
   void AppendTextRun(const char* data, size_t n);
   /// Emits text_buf_ as one kText chunk (swapped into emit_buf_).
   void EmitText(StreamEvent* event);
@@ -260,8 +267,9 @@ class StreamTokenizer {
   /// it (pop_pending_).
   void EmitEndElement(StreamEvent* event);
 
-  /// One attribute of the start tag being parsed: offsets into buf_
-  /// (stable while the tag is pinned) or an index into attr_store_.
+  /// One attribute of the start tag being parsed: offsets from the tag's
+  /// '<' (stable across refills, which keep the tag) or an index into
+  /// attr_store_.
   struct RawAttr {
     size_t name_off, name_len;
     bool from_store;
@@ -271,7 +279,7 @@ class StreamTokenizer {
   ByteSource& source_;
   StreamTokenizerOptions options_;
 
-  std::string window_;       // windowed reads only
+  std::vector<char> window_;  // windowed reads only
   const char* buf_ = nullptr;
   size_t start_ = 0, end_ = 0;
   uint64_t base_ = 0;        // bytes consumed before buf_[0]

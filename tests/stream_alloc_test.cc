@@ -10,6 +10,11 @@
 // window (ChunkedSource, the path files and sockets take). The validator
 // also runs an L_id person/dept document under an inverse constraint.
 // The larger document may cost only a few more buffer doublings.
+//
+// The counting operator new also records its largest single request:
+// a windowed pass over documents whose tokens all fit one chunk must
+// never ask for more than the first window (two chunks), however the
+// reads fall on tags, names and references.
 
 #include <gtest/gtest.h>
 
@@ -20,15 +25,27 @@
 
 #include "engine/stream_validator.h"
 #include "fuzzing/chunked_source.h"
+#include "xml/dtd_parser.h"
 #include "xml/dtdc_io.h"
 #include "xml/stream_tokenizer.h"
 
 namespace {
 std::atomic<size_t> g_allocations{0};
+std::atomic<size_t> g_largest{0};  // largest single request since reset
+
+// Out of line: an operator new small enough to inline keeps GCC's
+// -Wmismatched-new-delete from pairing it with the free() below.
+[[gnu::noinline]] void CountAllocation(size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  // The tests allocate from one thread; no compare-exchange needed.
+  if (n > g_largest.load(std::memory_order_relaxed)) {
+    g_largest.store(n, std::memory_order_relaxed);
+  }
+}
 }  // namespace
 
 void* operator new(size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  CountAllocation(n);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -137,25 +154,62 @@ void WithSource(const std::string& doc, bool windowed, F&& f) {
   }
 }
 
+// One tokenizer pass over `source`; returns the start tags seen.
+size_t Tokenize(ByteSource& source) {
+  StreamTokenizer tok(source);
+  StreamEvent ev;
+  size_t elements = 0;
+  for (;;) {
+    Status s = tok.Next(&ev);
+    if (!s.ok()) {
+      ADD_FAILURE() << s;
+      break;
+    }
+    if (ev.kind == StreamEventKind::kStartElement) ++elements;
+    if (ev.kind == StreamEventKind::kEndDocument) break;
+  }
+  return elements;
+}
+
 // Allocations made by one tokenizer pass over `doc`; sets *elements.
 size_t TokenizerAllocations(const std::string& doc, bool windowed,
                             size_t* elements) {
   size_t before = g_allocations.load();
-  WithSource(doc, windowed, [&](ByteSource& source) {
-    StreamTokenizer tok(source);
-    StreamEvent ev;
-    *elements = 0;
-    for (;;) {
-      Status s = tok.Next(&ev);
-      if (!s.ok()) {
-        ADD_FAILURE() << s;
-        break;
-      }
-      if (ev.kind == StreamEventKind::kStartElement) ++*elements;
-      if (ev.kind == StreamEventKind::kEndDocument) break;
-    }
-  });
+  WithSource(doc, windowed,
+             [&](ByteSource& source) { *elements = Tokenize(source); });
   return g_allocations.load() - before;
+}
+
+// The largest single allocation f() makes.
+template <typename F>
+size_t LargestAllocation(F&& f) {
+  g_largest.store(0);
+  f();
+  return g_largest.load();
+}
+
+// Every start tag has attribute values on the tokenizer's slow path --
+// entity and character references, \r\n line ends -- and every element
+// references in its content.
+std::string ReferenceDocument(size_t elements) {
+  std::string doc = "<root>\r\n";
+  for (size_t i = 0; i < elements; ++i) {
+    const std::string n = std::to_string(i);
+    doc += "<e a=\"x &amp; " + n + "\r\ny\" b=\"&#65;&lt;&#x42;\">t &amp; " +
+           n + " &#65;</e>\r\n";
+  }
+  return doc + "</root>\r\n";
+}
+
+// Elements with 200-byte names, so most read boundaries fall inside a
+// name, an end tag's included.
+std::string LongNameDocument(size_t elements) {
+  const std::string name = "n" + std::string(199, 'x');
+  std::string doc = "<root>\n";
+  for (size_t i = 0; i < elements; ++i) {
+    doc += "<" + name + ">" + std::to_string(i) + "</" + name + ">\n";
+  }
+  return doc + "</root>\n";
 }
 
 // Allocations made by one validation run (the plan compiled beforehand).
@@ -222,6 +276,56 @@ TEST(StreamAlloc, ValidatorAllocationsDoNotGrowWithElements) {
           << " allocations; " << large_vertices
           << " vertices: " << large_allocs;
     }
+  }
+}
+
+TEST(StreamAlloc, WindowStaysWithinTwoChunks) {
+  const size_t bound = 2 * StreamTokenizerOptions().chunk_bytes;
+  // A source that fills the whole window per read, as FileSource does,
+  // and one whose reads do not line up with it.
+  const size_t max_reads[] = {bound, 1000};
+  struct Case {
+    const char* what;
+    std::string doc;
+  };
+  const Case cases[] = {{"catalog", Catalog(100000)},
+                        {"references", ReferenceDocument(20000)},
+                        {"long names", LongNameDocument(5000)}};
+  for (const Case& c : cases) {
+    for (size_t max_read : max_reads) {
+      SCOPED_TRACE(std::string(c.what) + ", reads of " +
+                   std::to_string(max_read));
+      size_t elements = 0;
+      const size_t largest = LargestAllocation([&] {
+        ChunkedSource source(c.doc, max_read);
+        elements = Tokenize(source);
+      });
+      EXPECT_GT(elements, 5000u);
+      EXPECT_LE(largest, bound) << c.doc.size() << "-byte document";
+    }
+  }
+
+  // A structure-only run over a root with 200k children: the child word
+  // the content model is checked against must not grow with the fanout.
+  Result<DtdStructure> dtd =
+      ParseDtd("<!ELEMENT r (c*)>\n<!ELEMENT c EMPTY>\n", "r");
+  ASSERT_TRUE(dtd.ok()) << dtd.status();
+  const ConstraintSet sigma;
+  StreamValidator validator(dtd.value(), sigma);
+  ASSERT_TRUE(validator.status().ok()) << validator.status();
+  std::string wide = "<r>\n";
+  for (size_t i = 0; i < 200000; ++i) wide += "<c/>\n";
+  wide += "</r>\n";
+  for (size_t max_read : max_reads) {
+    SCOPED_TRACE("wide root, reads of " + std::to_string(max_read));
+    StreamOutcome out;
+    const size_t largest = LargestAllocation([&] {
+      ChunkedSource source(wide, max_read);
+      out = validator.Run(source);
+    });
+    EXPECT_TRUE(out.ok()) << out.parse << out.structure.ToString();
+    EXPECT_EQ(out.stats.vertices, 200001u);
+    EXPECT_LE(largest, bound);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -129,14 +130,19 @@ TEST(StreamTokenizer, TextRunsSplitIntoChunksReassembleExactly) {
 TEST(StreamTokenizer, StartTagSurvivesTheWindowGrowing) {
   // Reads that fill the window leave it full; a reference within a few
   // bytes of a start tag's end then reads past the buffered tag, and
-  // the window grows -- and moves -- mid-tag. Sweep the tag across the
-  // end of a full 512-byte window.
+  // the refill compacts the window -- moving the tag -- mid-tag. A tag
+  // longer than the window (a 700-byte value) doubles it instead, and a
+  // \r\n in its last value refills too. Sweep the tag across the end of
+  // a full 512-byte window.
+  const std::string long_value(700, 'y');
   for (size_t pad = 400; pad < 1100; ++pad) {
     const std::string text =
-        "<r>" + std::string(pad, 'x') + "<element a=\"&amp;\"/></r>";
+        "<r>" + std::string(pad, 'x') + "<element a=\"&amp;\"/>" +
+        "<long b=\"" + long_value + "\" a=\"&amp;\r\n\"/></r>";
     std::vector<std::string> want = {
         "start:r", "text[" + std::string(pad, 'x') + "]",
-        "start:element a=&", "end:element", "end:r", "eod"};
+        "start:element a=&", "end:element",
+        "start:long b=" + long_value + " a=& ", "end:long", "end:r", "eod"};
     EXPECT_EQ(Events(text, 256, nullptr, 4096), want) << pad;
   }
 }
@@ -733,10 +739,9 @@ std::string InverseDocument() {
 
 // p <-> d: 11 p.in and 10 d.has values, 8 p and 8 d keys (the keys'
 // logs), and two pair logs of 10 + 9 (members of a set whose vertex has
-// a key). f <-> f shares one values log (7) and one key log (4) between
-// its directions; its two pair logs hold 6 + 6 each.
-constexpr size_t kInverseRecords =
-    11 + 10 + 8 + 8 + 2 * 19 + 7 + 4 + 2 * 12;
+// a key). f <-> f is one direction: one values log (7), one key log (4)
+// and one pair log of 6 + 6.
+constexpr size_t kInverseRecords = 11 + 10 + 8 + 8 + 2 * 19 + 7 + 4 + 12;
 // The document's logs fit 4 KiB; budget 1 spills every record.
 const std::vector<size_t> kInverseBudgets = {0, 1};
 
@@ -766,6 +771,14 @@ TEST(InverseExtent, EveryPassMatchesNaiveCheck) {
         "missing: f \"f0\" references \"f0\""}) {
     EXPECT_NE(naive.find(pass), std::string::npos) << pass << "\n" << naive;
   }
+  // f <-> f runs one direction: each of its violations is reported once.
+  std::istringstream lines(naive);
+  std::map<std::string, int> f_lines;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("f(k).friends") != std::string::npos) ++f_lines[line];
+  }
+  EXPECT_FALSE(f_lines.empty()) << naive;
+  for (const auto& [line, count] : f_lines) EXPECT_EQ(count, 1) << line;
 }
 
 TEST(InverseExtent, TruncationLandsInEveryPass) {
